@@ -168,8 +168,9 @@ func BenchmarkSimRefreshOnly(b *testing.B) {
 // BenchmarkSimRefreshOnlyReusable is BenchmarkSimRefreshOnly with an
 // explicit sim.Reusable, isolating the steady-state cost once the event
 // queue is owned by the caller instead of the internal pool. One warm run
-// populates the timing wheel's lazily-allocated buckets outside the timed
-// loop, so the numbers reflect the reuse path rather than first-run growth.
+// grows the queue's period lanes and the fast-forward kernel's columns and
+// decay memo outside the timed loop, so the numbers reflect the reuse path
+// rather than first-run growth.
 func BenchmarkSimRefreshOnlyReusable(b *testing.B) {
 	p := device.Default90nm()
 	prof, err := retention.NewPaperProfile(retention.DefaultCellDistribution(), 42)
@@ -235,7 +236,7 @@ func BenchmarkProfileConstruction(b *testing.B) {
 
 // BenchmarkBankBatchRefresh measures the raw columnar kernel: one
 // RefreshBatch over every row of the paper bank per iteration, the shape the
-// batched simulator backend drains a timing-wheel bucket in. The per-op time
+// batched simulator backend drains a batch of events in. The per-op time
 // bumps between iterations keep every batch valid without re-allocating it.
 func BenchmarkBankBatchRefresh(b *testing.B) {
 	prof, err := retention.NewPaperProfile(retention.DefaultCellDistribution(), 42)
@@ -332,12 +333,13 @@ func BenchmarkDeviceYear(b *testing.B) {
 
 // BenchmarkDeviceYearActive is the device-year cost when the run is NOT
 // quiescent: the dpd-adversary scenario perturbs the decay law and a trace
-// keeps access events interleaved with refreshes, so the fast-forward engine
-// must stay disengaged (no SteadyModulator, trace records inside every
-// horizon) and the batched path carries the run. The pair of device-year
-// numbers bounds what a mixed fleet should expect; the gap between them is
-// what fast-forwarding buys on steady devices, degrading gracefully to this
-// figure under activity.
+// keeps access events interleaved with refreshes. The scenario Env is a
+// dram.SteadyModulator, so the run is fast-forward eligible, but a trace
+// record caps every horizon well short of one lane lap: the engagement gate
+// sends every window to the batched path, which carries the run. The pair
+// of device-year numbers bounds what a mixed fleet should expect; the gap
+// between them is what fast-forwarding buys on steady devices, degrading
+// gracefully to this figure under activity.
 func BenchmarkDeviceYearActive(b *testing.B) {
 	p := device.Default90nm()
 	prof, err := retention.NewPaperProfile(retention.DefaultCellDistribution(), 42)

@@ -18,6 +18,11 @@ go build ./...
 echo "== go test -race =="
 go test -race -shuffle=on -timeout 5m ./...
 
+# perfbench/ is a separate Go module built against the internal packages, so
+# neither the root vet/build nor the root test run above compiles it.
+echo "== perfbench module (go vet + go test) =="
+(cd perfbench && go vet ./... && go test ./...)
+
 # Bench regression smoke: re-measure the kernel benchmarks quickly and gate
 # them against the committed baselines through vrlbench -compare - the PR5
 # ledger for the circuit/sim kernels, the PR9 ledger for the columnar bank

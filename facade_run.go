@@ -42,9 +42,9 @@ type RunControl struct {
 	// source, fallback to an older generation) for operator visibility.
 	OnEvent func(msg string)
 	// Backend selects the simulator execution strategy by name ("" = auto;
-	// see BackendNames). Every backend except the opt-in "batch-lut"
-	// produces statistics and checkpoints bit-identical to the scalar
-	// reference, so this is a speed knob, not a semantics knob.
+	// see BackendNames). Every backend produces statistics and checkpoints
+	// bit-identical to the scalar reference, so this is a speed knob, not a
+	// semantics knob.
 	Backend string
 }
 

@@ -131,36 +131,7 @@ func EncodeSim(w io.Writer, cp *sim.Checkpoint) error {
 	e.Float(cp.Time)
 	e.Float(cp.Duration)
 	e.Bytes([]byte(cp.Scheduler))
-
-	s := cp.Stats
-	e.Bytes([]byte(s.Scheduler))
-	e.Float(s.Duration)
-	e.Int(s.FullRefreshes)
-	e.Int(s.PartialRefreshes)
-	e.Int(s.BusyCycles)
-	e.Int(s.Accesses)
-	e.Float(s.ChargeRestored)
-	e.Int(int64(s.Violations))
-	e.Int(s.CorrectedErrors)
-	e.Int(s.UncorrectableErrors)
-	e.Int(s.RowsUpgraded)
-	e.Int(s.FaultsInjected)
-	e.Int(s.Guard.Alarms)
-	e.Int(s.Guard.Demotions)
-	e.Int(s.Guard.Promotions)
-	e.Int(s.Guard.Escalations)
-	e.Int(s.Guard.BreakerTrips)
-	e.Float(s.Guard.TimeDegraded)
-	e.Int(s.Scrub.RowsPatrolled)
-	e.Int(s.Scrub.Corrected)
-	e.Int(s.Scrub.Uncorrectable)
-	e.Int(s.Scrub.Reprofiles)
-	e.Int(s.Scrub.RowsHealed)
-	e.Int(s.Scrub.RowsRemapped)
-	e.Int(s.Scrub.HardFails)
-	e.Int(s.Scrub.BusyRetries)
-	e.Int(s.Scrub.SLOMisses)
-	e.Int(int64(s.Scrub.SparesLeft))
+	cp.Stats.EncodeTo(&e)
 
 	e.Int(int64(len(cp.Events)))
 	for _, ev := range cp.Events {
@@ -204,36 +175,7 @@ func DecodeSim(r io.Reader) (*sim.Checkpoint, error) {
 	cp.Time = d.Float()
 	cp.Duration = d.Float()
 	cp.Scheduler = string(d.Bytes())
-
-	s := &cp.Stats
-	s.Scheduler = string(d.Bytes())
-	s.Duration = d.Float()
-	s.FullRefreshes = d.Int()
-	s.PartialRefreshes = d.Int()
-	s.BusyCycles = d.Int()
-	s.Accesses = d.Int()
-	s.ChargeRestored = d.Float()
-	s.Violations = int(d.Int())
-	s.CorrectedErrors = d.Int()
-	s.UncorrectableErrors = d.Int()
-	s.RowsUpgraded = d.Int()
-	s.FaultsInjected = d.Int()
-	s.Guard.Alarms = d.Int()
-	s.Guard.Demotions = d.Int()
-	s.Guard.Promotions = d.Int()
-	s.Guard.Escalations = d.Int()
-	s.Guard.BreakerTrips = d.Int()
-	s.Guard.TimeDegraded = d.Float()
-	s.Scrub.RowsPatrolled = d.Int()
-	s.Scrub.Corrected = d.Int()
-	s.Scrub.Uncorrectable = d.Int()
-	s.Scrub.Reprofiles = d.Int()
-	s.Scrub.RowsHealed = d.Int()
-	s.Scrub.RowsRemapped = d.Int()
-	s.Scrub.HardFails = d.Int()
-	s.Scrub.BusyRetries = d.Int()
-	s.Scrub.SLOMisses = d.Int()
-	s.Scrub.SparesLeft = int(d.Int())
+	cp.Stats = sim.DecodeStatsFrom(d)
 
 	if n := sliceLen(d, payload, 16); n > 0 {
 		cp.Events = make([]sim.PendingEvent, n)

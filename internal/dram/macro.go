@@ -1,9 +1,9 @@
 // Macro-step fast-forward kernel: whole-window columnar replay.
 //
-// RefreshStream (stream.go) replays the lane merge event by event, which
+// Replaying a quiescent window event by event in global (time, row) order
 // costs one random cache-line access per event. RefreshMacro restructures
-// the same quiescent window into row-major passes by exploiting what is
-// actually order-dependent in the pipeline:
+// the window into row-major passes by exploiting what is actually
+// order-dependent in the pipeline:
 //
 //   - A row's refresh times depend only on its first pending event and its
 //     period - never on charge - so the whole window's event times can be
@@ -22,18 +22,23 @@
 //     equals the global append order because the order is a strict total
 //     order.
 //
+// Bit-identity contract: every per-event float operation - decay factor,
+// sense compare, restore expression, the ChargeRestored accumulation order -
+// is expression-for-expression the scalar path's.
+//
 // Pass D verifies while it merges: every consumed event must be strictly
 // greater than its predecessor in (time, row). With a strict total order a
 // merge whose output is sorted IS the global sort, so the check both
 // validates the lap-prefix layout assumptions and certifies bit-identity;
 // if it ever fails, the kernel re-sorts the buffered events and replays the
-// accumulation from the sorted copy - slower, still exact, no undo needed
-// (per-row state committed in pass C is order-independent).
+// accumulation from the sorted copy (macroSortedReplay) - slower, still
+// exact, no undo needed (per-row state committed in pass C is
+// order-independent).
 //
 // Shapes the kernel cannot take - a row whose period left its lane, counts
 // that are not a two-valued non-increasing prefix, duplicate rows in a lane
 // - are detected in pass A before any mutation, returning Bailed with the
-// queue untouched so the caller can fall back to RefreshStream.
+// queue untouched so the caller can run the window on the batch path.
 package dram
 
 import (
@@ -85,10 +90,10 @@ type macroCursor struct {
 }
 
 // RefreshMacro consumes every event with time < horizon from the lanes in
-// global (time, row) order via columnar whole-window replay, equivalent to
-// RefreshStream bit for bit. acc is the caller's ChargeRestored accumulator.
-// On Bailed the queue and bank are untouched; the caller should fall back to
-// RefreshStream, which handles ragged shapes incrementally.
+// global (time, row) order via columnar whole-window replay, bit-identical
+// to processing them one at a time through Bank.Refresh. acc is the
+// caller's ChargeRestored accumulator. On Bailed the lanes and bank are
+// untouched and no event was consumed.
 func (b *Bank) RefreshMacro(sc *StreamScratch, lanes []RefreshLane, horizon float64, cfg *StreamConfig, acc float64) (StreamResult, error) {
 	res := StreamResult{ChargeRestored: acc}
 	if !(cfg.AlphaFull >= 0 && cfg.AlphaFull <= 1) {
@@ -131,7 +136,7 @@ func (b *Bank) RefreshMacro(sc *StreamScratch, lanes []RefreshLane, horizon floa
 		}
 		// Bound the per-row lap count from the lane's earliest event so the
 		// columns can be sized before the counting walk.
-		stride := ffLaps(l.Events[l.Head].T, p, horizon) + 1
+		stride := LapsBelow(l.Events[l.Head].T, p, horizon) + 1
 		pl.stride = stride
 		need := evTotal + macroCap(n, stride)
 		if cap(sc.times) < need {
@@ -276,8 +281,7 @@ func (b *Bank) RefreshMacro(sc *StreamScratch, lanes []RefreshLane, horizon floa
 			// Two-entry MRU register memo: a row's dt ALTERNATES between two
 			// rounding values near binade crossings of t, so one register
 			// thrashes where a pair captures the cycle; the pinned per-row
-			// overflow memo (shared with RefreshStream) backs both across
-			// windows.
+			// overflow memo backs both across windows.
 			dtA, fA := math.NaN(), 0.0
 			dtB, fB := math.NaN(), 0.0
 			t := l.Events[l.Head+j].T
@@ -435,7 +439,7 @@ outer:
 			}
 			k8 := c.k << 3
 			for j := c.j; j < lim; j++ {
-				idx := evb + (j>>3)*st8 + k8 + (j&7)
+				idx := evb + (j>>3)*st8 + k8 + (j & 7)
 				t := times[idx]
 				if t > prevT && t < tBound {
 					prevT = t
@@ -589,22 +593,33 @@ func macroSortedReplay(sc *StreamScratch, plan []macroLane, acc float64) (float6
 	return acc, lastOp, lastT
 }
 
-// ffLaps returns the largest k >= 0 with t + k*period < horizon, against
-// the same float iteration the lanes perform (duplicated from internal/sim's
-// planner to keep the package dependency-free; used only as a capacity
-// bound, with the exact count settled by the generation walk itself).
-func ffLaps(t, period, horizon float64) int {
+// MaxLaps saturates LapsBelow. 2^30 refresh cycles is beyond any run the
+// simulator takes (a device-year at the fastest JEDEC period is ~5e8
+// cycles); the bound keeps the float -> int conversion inside int range,
+// where Go leaves it implementation-defined.
+const MaxLaps = 1 << 30
+
+// LapsBelow returns the largest k >= 0 (at most MaxLaps) with
+// t + float64(k)*period < horizon, computed against that exact float
+// expression rather than the division estimate, so a count it returns
+// never puts an event at or past the horizon. Degenerate inputs
+// (non-positive or NaN period, t already at or past the horizon) give 0.
+// RefreshMacro sizes its per-row lap columns with it; internal/sim's
+// FuzzFastForwardPlan hammers it with arbitrary triples.
+func LapsBelow(t, period, horizon float64) int {
 	if !(period > 0) || !(t < horizon) {
 		return 0
 	}
 	r := (horizon - t) / period
-	const max = 1 << 30
-	k := max
-	if r < max {
+	k := MaxLaps
+	if r < MaxLaps {
 		k = int(r)
 	}
-	// Bisect a saturated estimate (horizon-t can overflow to +Inf) onto the
-	// actual repeated-add expression, then settle the rounding steps.
+	// The division is one rounding away from the repeated-add reality on
+	// either side - and arbitrarily far off when horizon-t overflows to
+	// +Inf, where the estimate saturates. Bisect the saturated estimate
+	// down onto the actual expression (t itself is below the horizon, so
+	// k=0 always qualifies), then settle the last rounding steps linearly.
 	if !(t+float64(k)*period < horizon) {
 		lo, hi := 0, k
 		for hi-lo > 1 {
@@ -620,18 +635,30 @@ func ffLaps(t, period, horizon float64) int {
 	for k > 0 && !(t+float64(k)*period < horizon) {
 		k--
 	}
-	for k < max && t+float64(k+1)*period < horizon {
+	for k < MaxLaps && t+float64(k+1)*period < horizon {
 		k++
 	}
 	return k
 }
 
-// macroEnsure sizes the row-indexed scratch (duplicate detection epochs and
-// the shared memo columns) for the bank geometry.
+// macroEnsure sizes the row-indexed scratch (duplicate detection epochs,
+// pinned decay memo, and the retention shadow that keys it) for the bank
+// geometry.
 func (sc *StreamScratch) macroEnsure(nRows int) {
 	if len(sc.seen) != nRows {
 		sc.seen = make([]int32, nRows)
 		sc.seenEpoch = 0
 	}
-	sc.ensureMemo(nRows)
+	if len(sc.ext) == nRows {
+		return
+	}
+	sc.ext = make([]streamExt, nRows)
+	sc.tret = make([]float64, nRows)
+	nan := math.NaN()
+	for r := range sc.ext {
+		sc.tret[r] = nan
+		for i := range sc.ext[r].p {
+			sc.ext[r].p[i].dt = nan
+		}
+	}
 }

@@ -1,38 +1,24 @@
-// Streaming fast-forward kernel over the bank's structure-of-arrays state.
+// Fast-forward window types shared between internal/sim's event queue and
+// the macro kernel (macro.go).
 //
-// The batched kernels in batch.go amortize per-event overhead across one
-// gathered bucket, but the simulator still pays a pop/gather/apply round
-// trip per bucket and a scheduler interface call per event. In a quiescent
-// steady state - no trace records, no scrub ticks, no checkpoint boundary,
-// schedule stable - every event is "sense, restore, re-arm at t+period",
-// and the event queue's period lanes already hold the events in sorted
-// order. RefreshStream exploits that: it merges the lanes directly, fusing
-// decay, sensing, op selection (from the scheduler's own counter columns),
-// restore, accounting, and the re-push into one pass, with each lane acting
-// as a rotor - the head event pops, its successor at t+period appends to
-// the same lane's tail, so a lane can lap itself arbitrarily many times
-// within one horizon and the whole quiescent span costs one kernel call.
-//
-// Bit-identity contract: the kernel consumes events in exactly the global
-// (time, row) order the scalar runner would, and every per-event float
-// operation - decay factor, sense compare, restore expression, the
-// ChargeRestored accumulation order - is expression-for-expression the
-// scalar path's. Anything it cannot reproduce exactly (a re-push that the
-// lane queue would spill to the mixed intake, a period with no lane) makes
-// it stop *before* that event with Bailed set, state fully consistent, so
-// the caller can handle one event scalar-style and resume.
+// In a quiescent steady state - no trace records, no scrub ticks, no
+// checkpoint boundary, schedule stable - every refresh event is "sense,
+// restore, re-arm at t+period", and the event queue's period lanes already
+// hold the events in sorted order. The simulator hands those lanes, the
+// scheduler's decision columns (StreamConfig), and a horizon to
+// Bank.RefreshMacro, which consumes every event below the horizon in one
+// call and returns the accounting as a StreamResult.
 package dram
 
 import (
-	"fmt"
 	"math"
 
 	"vrldram/internal/retention"
 )
 
 // StreamEvent is one scheduled refresh: the queue element shared between
-// internal/sim's period lanes and this kernel (sim aliases its event type to
-// it, so lanes hand over with zero copying).
+// internal/sim's period lanes and the macro kernel (sim aliases its event
+// type to it, so lanes hand over with zero copying).
 type StreamEvent struct {
 	T   float64
 	Row int
@@ -61,7 +47,7 @@ type StreamConfig struct {
 	CyclesFull, CyclesPartial int
 }
 
-// StreamResult reports one RefreshStream window.
+// StreamResult reports one RefreshMacro window.
 type StreamResult struct {
 	Events     int     // events consumed
 	Fulls      int64   // full refreshes among them
@@ -73,33 +59,10 @@ type StreamResult struct {
 	// that keeps the non-associative float sum bit-identical to the scalar
 	// runner's.
 	ChargeRestored float64
-	// Bailed reports the kernel stopped before an event it could not handle
-	// exactly (cross-lane re-push with no matching lane, or a re-push that
-	// would break the target lane's FIFO order and must spill). The offending
-	// event is still queued; process it scalar-style and resume.
+	// Bailed reports the kernel refused the window's lane shape (see
+	// RefreshMacro) before consuming or mutating anything; the caller runs
+	// the window on the batch path instead.
 	Bailed bool
-}
-
-// streamRow is one row's gathered hot state: exactly 64 bytes, so the whole
-// steady-state per-event pipeline touches a single cache line per row.
-// dtA/fA and dtB/fB are a two-entry MRU memo of the decay factor keyed by
-// the elapsed interval (overflow lives in streamExt); rcount/mprsf are the
-// scheduler's partial-refresh counters packed in so op selection costs no
-// second random access. Keying the memo on dt is valid because the gather
-// invalidates it whenever the row's retention changes (see streamGather),
-// so identical dt implies the identical Exp2 argument and a hit can never
-// change a result. The keys start as NaN (never equal), so a zero dt cannot
-// false-hit.
-type streamRow struct {
-	charge float64
-	lastT  float64
-	dtA    float64
-	fA     float64
-	dtB    float64
-	fB     float64
-	period float64
-	rcount int32
-	mprsf  int32
 }
 
 // streamPair is one pinned (interval, factor) memo entry.
@@ -108,7 +71,7 @@ type streamPair struct {
 }
 
 // streamExt is a row's overflow decay memo: up to 8 pinned (dt, f) pairs,
-// consulted only when the in-line MRU pair misses. A steady row's dt walks
+// consulted only when the kernel's in-register MRU pair misses. A steady row's dt walks
 // through a handful of distinct rounding values of fl(t+p)-t (the set grows
 // at each binade crossing of t), which cycles - and cycling is the
 // pathological pattern for small MRU memos, evicting each entry just before
@@ -121,16 +84,16 @@ type streamExt struct {
 	p [8]streamPair
 }
 
-// StreamScratch holds the kernel's gathered hot-row state. It is owned by
-// the caller (internal/sim keeps one per Scratch) rather than the bank, so
-// the embedded decay memo survives across runs that share a Scratch but use
-// fresh banks - a cold window pays one Exp2 per distinct (row, dt) pair,
-// and a fleet of identically-profiled runs shares one warm memo. Sharing is
-// safe across any mix of banks: factors depend only on (dt, tret), and the
-// gather resets any row whose retention differs from the shadow copy taken
-// when its memo entries were filled. The zero value is ready to use.
+// StreamScratch holds the kernel's per-window columns and per-row decay
+// memo. It is owned by the caller (internal/sim keeps one per Scratch)
+// rather than the bank, so the memo survives across runs that share a
+// Scratch but use fresh banks - a cold window pays one Exp2 per distinct
+// (row, dt) pair, and a fleet of identically-profiled runs shares one warm
+// memo. Sharing is safe across any mix of banks: factors depend only on
+// (dt, tret), and the kernel resets any row whose retention differs from
+// the shadow copy taken when its memo entries were filled. The zero value
+// is ready to use.
 type StreamScratch struct {
-	rows []streamRow
 	ext  []streamExt
 	tret []float64 // shadow of the bank's retention column keying the memo
 
@@ -148,421 +111,6 @@ type StreamScratch struct {
 	macroViol []Violation
 }
 
-// streamState is the kernel's running accounting, passed by value through
-// streamCore so every field lives in a register during the hot loop (a
-// closure capture or address-of would pin them to the stack and turn each
-// per-event counter bump into a load/store round trip).
-type streamState struct {
-	fulls      int64
-	events     int
-	lastTime   float64
-	lastCycles int
-	acc        float64
-}
-
-// streamCore exit statuses.
-const (
-	streamDone  = iota // no event below the horizon remains
-	streamBail         // stopped before an order-breaking re-push
-	streamCross        // stopped before a cross-lane re-push (wrapper commits it)
-	streamFail         // validation error mid-stream
-)
-
-// RefreshStream consumes every event with time < horizon from the lanes in
-// global (time, row) order, applying the full per-event refresh pipeline
-// in-place and re-arming each row at t + period in its period's lane. acc
-// is the caller's ChargeRestored accumulator, threaded through so the sum
-// order matches the scalar runner exactly; sc carries the gathered row
-// state between windows.
-func (b *Bank) RefreshStream(sc *StreamScratch, lanes []RefreshLane, horizon float64, cfg *StreamConfig, acc float64) (StreamResult, error) {
-	res := StreamResult{ChargeRestored: acc}
-	if !(cfg.AlphaFull >= 0 && cfg.AlphaFull <= 1) {
-		return res, fmt.Errorf("dram: restore alpha %g outside [0,1]", cfg.AlphaFull)
-	}
-	if cfg.RCount != nil && !(cfg.AlphaPartial >= 0 && cfg.AlphaPartial <= 1) {
-		return res, fmt.Errorf("dram: restore alpha %g outside [0,1]", cfg.AlphaPartial)
-	}
-	nRows := b.Geom.Rows
-	if cfg.Periods != nil && len(cfg.Periods) != nRows {
-		return res, fmt.Errorf("dram: stream periods cover %d rows, bank has %d", len(cfg.Periods), nRows)
-	}
-	if cfg.RCount != nil && (len(cfg.RCount) != nRows || len(cfg.MPRSF) != nRows) {
-		return res, fmt.Errorf("dram: stream counters cover %d/%d rows, bank has %d", len(cfg.RCount), len(cfg.MPRSF), nRows)
-	}
-	hot, err := b.streamGather(sc, cfg)
-	if err != nil {
-		return res, err
-	}
-	hasCnt := cfg.RCount != nil
-	st := streamState{acc: acc}
-	violations := b.violations
-	var status, laneIdx int
-	for {
-		st, violations, status, laneIdx, err = streamCore(hot, sc.ext, sc.tret, b.retired,
-			lanes, horizon, hasCnt, cfg.AlphaFull, cfg.AlphaPartial, cfg.CyclesFull, cfg.CyclesPartial,
-			st, violations)
-		if status != streamCross {
-			break
-		}
-		// Cross-lane re-push: rare (a period changed between windows). Commit
-		// one event through the generic path and re-enter the hot loop; kept
-		// out of streamCore so its pointer plumbing cannot de-register the
-		// hot loop's state.
-		var bailed bool
-		bailed, violations, err = b.streamCrossLane(hot, sc.ext, sc.tret, lanes, laneIdx, cfg, hasCnt, &st, violations)
-		if bailed || err != nil {
-			res.Bailed = bailed
-			break
-		}
-	}
-	// Scatter the mutated state back into the bank SoA (and the scheduler's
-	// counter column) on every exit path.
-	charge, lastT := b.charge, b.lastT
-	for r := range hot {
-		charge[r] = hot[r].charge
-		lastT[r] = hot[r].lastT
-	}
-	if hasCnt {
-		rcount := cfg.RCount
-		for r := range hot {
-			rcount[r] = int(hot[r].rcount)
-		}
-	}
-	b.violations = violations
-	res.Fulls, res.Partials = st.fulls, int64(st.events)-st.fulls
-	res.Events = st.events
-	res.LastTime, res.LastCycles = st.lastTime, st.lastCycles
-	res.ChargeRestored = st.acc
-	if status == streamBail {
-		res.Bailed = true
-	}
-	return res, err
-}
-
-// streamCore is the closure-free hot loop: it consumes lane runs until the
-// horizon, an unhandleable event, or an error, with all accounting in
-// by-value state. It returns the lane index alongside streamCross so the
-// wrapper can commit the offending head event and re-enter.
-func streamCore(hot []streamRow, ext []streamExt, tretCol []float64, retired []bool,
-	lanes []RefreshLane, horizon float64, hasCnt bool,
-	alphaF, alphaP float64, cycF, cycP int,
-	st streamState, violations []Violation) (streamState, []Violation, int, int, error) {
-	fulls := st.fulls
-	events := st.events
-	lastTime := st.lastTime
-	lastCycles := st.lastCycles
-	acc := st.acc
-	status, retLane := streamDone, 0
-	var retErr error
-
-	for {
-		// Locate the lane holding the global minimum below the horizon, and
-		// the run limit: the earliest other-lane head, before which the best
-		// lane stays the minimum (same tie discipline as the batch queue's
-		// k-way merge).
-		best := -1
-		var bestE StreamEvent
-		limT, limRow := horizon, -1
-		for i := range lanes {
-			l := &lanes[i]
-			if l.Head >= len(l.Events) {
-				continue
-			}
-			e := l.Events[l.Head]
-			if best < 0 || e.T < bestE.T || (e.T == bestE.T && e.Row < bestE.Row) {
-				if best >= 0 {
-					// The displaced best becomes limit material.
-					if bestE.T < limT || (bestE.T == limT && limRow >= 0 && bestE.Row < limRow) {
-						limT, limRow = bestE.T, bestE.Row
-					}
-				}
-				best, bestE = i, e
-			} else if e.T < limT || (e.T == limT && limRow >= 0 && e.Row < limRow) {
-				limT, limRow = e.T, e.Row
-			}
-		}
-		if best < 0 || bestE.T >= horizon {
-			goto done
-		}
-		// Consume the run with the lane's state hoisted into locals (written
-		// back at every run exit). The lane tail is tracked in registers for
-		// the re-push order check: it is either the last pre-existing event
-		// or the re-push appended by the previous iteration.
-		l := &lanes[best]
-		laneDelta := l.Delta
-		evs := l.Events
-		head := l.Head
-		tailT, tailRow := evs[len(evs)-1].T, evs[len(evs)-1].Row
-		for head < len(evs) {
-			ev := evs[head]
-			t := ev.T
-			if t >= horizon || t > limT || (t == limT && limRow >= 0 && ev.Row > limRow) {
-				break
-			}
-			row := ev.Row
-			if uint(row) >= uint(len(hot)) {
-				l.Events, l.Head = evs, head
-				status, retLane = streamFail, best
-				retErr = fmt.Errorf("dram: row %d out of range [0,%d)", row, len(hot))
-				goto done
-			}
-			h := &hot[row]
-			dt := t - h.lastT
-			if dt < 0 {
-				l.Events, l.Head = evs, head
-				status, retLane = streamFail, best
-				retErr = fmt.Errorf("dram: time went backwards for row %d: %.6g < %.6g", row, t, h.lastT)
-				goto done
-			}
-			// Decay: ExpDecay.Factor's exact guards and expression behind
-			// the in-line MRU pair, then the pinned overflow memo.
-			var f float64
-			if dt == h.dtA {
-				f = h.fA
-			} else {
-				if dt == h.dtB {
-					f = h.fB
-				} else {
-					x := &ext[row]
-					hit := false
-					for i := range x.p {
-						if x.p[i].dt == dt {
-							f = x.p[i].f
-							hit = true
-							break
-						}
-					}
-					if !hit {
-						if dt == 0 {
-							f = 1
-						} else if tretCol[row] <= 0 {
-							f = 0
-						} else {
-							f = math.Exp2(-dt / tretCol[row])
-							}
-						for i := range x.p {
-							if x.p[i].dt != x.p[i].dt { // first NaN (free) slot pins it
-								x.p[i] = streamPair{dt: dt, f: f}
-								break
-							}
-						}
-					}
-				}
-				h.dtB, h.fB = h.dtA, h.fA
-				h.dtA, h.fA = dt, f
-			}
-			v := h.charge * f
-			// Re-arm feasibility - checked before any mutation so a bail
-			// leaves the event untouched for the wrapper's fallback.
-			nt := t + h.period
-			if h.period != laneDelta {
-				l.Events, l.Head = evs, head
-				status, retLane = streamCross, best
-				goto done
-			}
-			if nt < tailT || (nt == tailT && tailRow >= row) {
-				// Would break the lane's FIFO order; the queue would spill
-				// this to the mixed intake, which the kernel cannot merge -
-				// hand the event back.
-				l.Events, l.Head = evs, head
-				status, retLane = streamBail, best
-				goto done
-			}
-			// Commit: sense, counter update, restore, accounting, re-arm.
-			// The full/partial selection is written as conditional moves over
-			// a partial-path default so the data-dependent op mix does not
-			// turn into a mispredicting branch; partials fall out as
-			// events - fulls at the wrapper's scatter.
-			if v < retention.SenseLimit && !retired[row] {
-				violations = append(violations, Violation{Row: row, Time: t, Charge: v})
-			}
-			full := !hasCnt || h.rcount == h.mprsf
-			alpha := alphaP
-			cyc := cycP
-			nrc := h.rcount + 1
-			var isF int64
-			if full {
-				alpha, cyc, nrc = alphaF, cycF, 0
-				isF = 1
-			}
-			h.rcount = nrc
-			fulls += isF
-			lastCycles = cyc
-			after := v + (1-v)*alpha
-			acc += after - v
-			h.charge = after
-			h.lastT = t
-			events++
-			lastTime = t
-			head++
-			if len(evs) == cap(evs) && head > 0 {
-				// Reclaim the consumed prefix in place before appending, so a
-				// rotor lane reuses its buffer instead of growing per lap.
-				n := copy(evs, evs[head:])
-				evs = evs[:n]
-				head = 0
-			}
-			evs = append(evs, StreamEvent{T: nt, Row: row})
-			tailT, tailRow = nt, row
-		}
-		l.Events, l.Head = evs, head
-	}
-
-done:
-	return streamState{fulls: fulls, events: events, lastTime: lastTime, lastCycles: lastCycles, acc: acc},
-		violations, status, retLane, retErr
-}
-
-// streamGather syncs the gathered hot-row state from the bank SoA columns
-// and the scheduler config. Memo entries persist as long as the row's tret
-// is unchanged; a tret change (different bank profile sharing the scratch,
-// a pattern rescale) resets that row's MRU keys and overflow slots to NaN,
-// which never compare equal.
-func (b *Bank) streamGather(sc *StreamScratch, cfg *StreamConfig) ([]streamRow, error) {
-	nRows := b.Geom.Rows
-	sc.ensureMemo(nRows)
-	if len(sc.rows) != nRows {
-		sc.rows = make([]streamRow, nRows)
-		nan := math.NaN()
-		for r := range sc.rows {
-			sc.rows[r].dtA, sc.rows[r].dtB = nan, nan
-		}
-	}
-	hot := sc.rows
-	charge, lastT := b.charge, b.lastT
-	tret := b.retentions()
-	for r := range hot {
-		h := &hot[r]
-		if sc.tret[r] != tret[r] {
-			sc.tret[r] = tret[r]
-			nan := math.NaN()
-			h.dtA, h.dtB = nan, nan
-			for i := range sc.ext[r].p {
-				sc.ext[r].p[i].dt = nan
-			}
-		}
-		h.charge, h.lastT = charge[r], lastT[r]
-		if cfg.Periods != nil {
-			h.period = cfg.Periods[r]
-		} else {
-			h.period = cfg.Period
-		}
-	}
-	if cfg.RCount == nil {
-		return hot, nil
-	}
-	for r := range hot {
-		rc, mp := cfg.RCount[r], cfg.MPRSF[r]
-		if int64(int32(rc)) != int64(rc) || int64(int32(mp)) != int64(mp) {
-			return nil, fmt.Errorf("dram: stream counter for row %d overflows the packed column (%d/%d)", r, rc, mp)
-		}
-		hot[r].rcount, hot[r].mprsf = int32(rc), int32(mp)
-	}
-	return hot, nil
-}
-
-// streamCrossLane commits the head event of lanes[laneIdx], whose re-push
-// period no longer matches the lane it sits in (its bin changed between
-// windows): the re-push must land in the lane keyed by its new period, which
-// may change the merge limit, so streamCore hands it up rather than
-// continuing the run. Returns bailed=true without committing when no such
-// lane exists or the append would violate its order. The decay pipeline here
-// mirrors streamCore's exactly, memo included.
-func (b *Bank) streamCrossLane(hot []streamRow, ext []streamExt, tretCol []float64,
-	lanes []RefreshLane, laneIdx int, cfg *StreamConfig, hasCnt bool,
-	st *streamState, violations []Violation) (bool, []Violation, error) {
-	l := &lanes[laneIdx]
-	ev := l.Events[l.Head]
-	row := ev.Row
-	h := &hot[row]
-	t := ev.T
-	dt := t - h.lastT
-	if dt < 0 {
-		return false, violations, fmt.Errorf("dram: time went backwards for row %d: %.6g < %.6g", row, t, h.lastT)
-	}
-	var f float64
-	if dt == h.dtA {
-		f = h.fA
-	} else {
-		if dt == h.dtB {
-			f = h.fB
-		} else {
-			x := &ext[row]
-			hit := false
-			for i := range x.p {
-				if x.p[i].dt == dt {
-					f = x.p[i].f
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				if dt == 0 {
-					f = 1
-				} else if tretCol[row] <= 0 {
-					f = 0
-				} else {
-					f = math.Exp2(-dt / tretCol[row])
-				}
-				for i := range x.p {
-					if x.p[i].dt != x.p[i].dt {
-						x.p[i] = streamPair{dt: dt, f: f}
-						break
-					}
-				}
-			}
-		}
-		h.dtB, h.fB = h.dtA, h.fA
-		h.dtA, h.fA = dt, f
-	}
-	v := h.charge * f
-	full := !hasCnt || h.rcount == h.mprsf
-	nt := t + h.period
-	var tl *RefreshLane
-	for i := range lanes {
-		if lanes[i].Delta == h.period {
-			tl = &lanes[i]
-			break
-		}
-	}
-	if tl == nil {
-		return true, violations, nil
-	}
-	if tl.Head < len(tl.Events) {
-		if last := tl.Events[len(tl.Events)-1]; nt < last.T || (nt == last.T && last.Row >= row) {
-			return true, violations, nil
-		}
-	}
-	if v < retention.SenseLimit && !b.retired[row] {
-		violations = append(violations, Violation{Row: row, Time: t, Charge: v})
-	}
-	if full {
-		h.rcount = 0
-		st.fulls++
-		st.lastCycles = cfg.CyclesFull
-		after := v + (1-v)*cfg.AlphaFull
-		st.acc += after - v
-		h.charge = after
-	} else {
-		h.rcount++
-		st.lastCycles = cfg.CyclesPartial
-		after := v + (1-v)*cfg.AlphaPartial
-		st.acc += after - v
-		h.charge = after
-	}
-	h.lastT = t
-	st.events++
-	st.lastTime = t
-	l.Head++
-	if len(tl.Events) == cap(tl.Events) && tl.Head > 0 {
-		n := copy(tl.Events, tl.Events[tl.Head:])
-		tl.Events = tl.Events[:n]
-		tl.Head = 0
-	}
-	tl.Events = append(tl.Events, StreamEvent{T: nt, Row: row})
-	return false, violations, nil
-}
-
 // MinLastRestore returns the earliest last-restore time across all rows: the
 // left edge of the span a fast-forward window's decay intervals can reach
 // back to, which is what a scenario modulator's nominal-window check must
@@ -578,7 +126,7 @@ func (b *Bank) MinLastRestore() float64 {
 }
 
 // Streamable reports whether the bank's decay configuration is one the
-// stream kernel reproduces exactly: the plain exponential law with no VRT
+// macro kernel reproduces exactly: the plain exponential law with no VRT
 // process. A scenario modulator is handled separately - see SteadyModulator.
 func (b *Bank) Streamable() bool {
 	_, exp := b.Decay.(retention.ExpDecay)
@@ -599,23 +147,4 @@ func (b *Bank) ActiveModulator() Modulator { return b.mod }
 type SteadyModulator interface {
 	Modulator
 	NominalUntil(from float64) float64
-}
-
-// ensureMemo sizes the shared decay-memo columns (pinned overflow entries
-// and the retention shadow that keys them) for the bank geometry. Both
-// kernels call it, so whichever runs first does not clobber the other's
-// warm entries.
-func (sc *StreamScratch) ensureMemo(nRows int) {
-	if len(sc.ext) == nRows {
-		return
-	}
-	sc.ext = make([]streamExt, nRows)
-	sc.tret = make([]float64, nRows)
-	nan := math.NaN()
-	for r := range sc.ext {
-		sc.tret[r] = nan
-		for i := range sc.ext[r].p {
-			sc.ext[r].p[i].dt = nan
-		}
-	}
 }

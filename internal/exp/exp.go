@@ -24,9 +24,8 @@ type Config struct {
 	Duration float64 // trace/refresh simulation window (s)
 
 	// Backend selects the simulator runner for every experiment that runs
-	// the refresh simulator. The zero value (sim.BackendAuto) is the
-	// batched-exact path; sim.BackendBatchLUT opts into the gated
-	// lookup-table decay curves.
+	// the refresh simulator. The zero value (sim.BackendAuto) picks the
+	// fastest exact runner; every backend gives bit-identical results.
 	Backend sim.Backend
 
 	// Workers bounds the number of concurrent cells an experiment may

@@ -91,11 +91,12 @@ type Spec struct {
 	ScrubSweep float64
 
 	// Backend selects the simulator runner for every device run. The zero
-	// value (sim.BackendAuto) is the batched-exact path;
-	// sim.BackendBatchLUT opts into the gated lookup-table decay curves.
-	// The backend is part of the spec's canonical identity (a LUT campaign
-	// must not resume onto an exact campaign's manifest), which is why the
-	// container tags moved to version 3.
+	// value (sim.BackendAuto) picks the fastest exact runner; every valid
+	// backend gives bit-identical results. The backend is part of the
+	// spec's canonical identity, and Validate refuses any value
+	// sim.Backend.Validate does not list - including 3, the removed
+	// approximate "batch-lut" backend, so a stored LUT campaign is refused
+	// rather than silently re-run as an exact one.
 	Backend sim.Backend
 }
 
@@ -161,6 +162,9 @@ func (s Spec) Validate() error {
 	}
 	if s.ScrubSweep < 0 {
 		return fmt.Errorf("fleet: scrub sweep period must be non-negative, got %g", s.ScrubSweep)
+	}
+	if err := s.Backend.Validate(); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	return nil
 }

@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
 
 	"vrldram/internal/scenario"
+	"vrldram/internal/sim"
 )
 
 func testFleetSpec() Spec {
@@ -42,6 +44,7 @@ func TestSpecValidateCatchesEachField(t *testing.T) {
 		{"shardsize", func(s *Spec) { s.ShardSize = -1 }, "shard size"},
 		{"tempswing", func(s *Spec) { s.TempSwingC = -2 }, "swing"},
 		{"weakfrac", func(s *Spec) { s.WeakFrac = 1.5 }, "weak"},
+		{"backend", func(s *Spec) { s.Backend = 99 }, "backend"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -207,6 +210,47 @@ func TestShardSpecCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeShardSpec(nil); err == nil {
 		t.Fatal("empty blob must not decode")
+	}
+}
+
+// goldenFastForwardShardHex is shard 1 of a 4-device spec with Backend set
+// to sim.BackendFastForward, as encoded while the approximate "batch-lut"
+// backend (value 3) still existed. Backend values are stored, so removing
+// one must not renumber the others.
+const goldenFastForwardShardHex = "04000000000000006673683304000000000000002a0000000000000003000000" +
+	"0000000076726c9a9999999999a93f0001000000000000040000000000000002" +
+	"0000000000000000000000004055400000000000000000000000000000000000" +
+	"0000000000000000000000000000000000000000000000000004000000000000" +
+	"00010000000000000002000000000000000200000000000000"
+
+// TestShardSpecBackendCompat pins the stored backend values: a shard blob
+// encoded with fast-forward before batch-lut was removed still decodes to
+// fast-forward, a blob carrying the removed batch-lut value is refused with
+// an error naming it (never re-run on an exact backend), and a value that
+// never existed is refused too.
+func TestShardSpecBackendCompat(t *testing.T) {
+	blob, err := hex.DecodeString(goldenFastForwardShardHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := DecodeShardSpec(blob)
+	if err != nil {
+		t.Fatalf("stored fast-forward shard must decode: %v", err)
+	}
+	if ss.Spec.Backend != sim.BackendFastForward || ss.Index != 1 || ss.Count != 2 {
+		t.Fatalf("stored fast-forward shard decoded to %+v", ss)
+	}
+
+	for _, c := range []struct {
+		backend sim.Backend
+		want    string
+	}{{3, "batch-lut"}, {99, "unknown backend 99"}} {
+		bad := ss
+		bad.Spec.Backend = c.backend
+		_, err := DecodeShardSpec(bad.Encode())
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("shard with backend %d: DecodeShardSpec = %v, want an error naming %q", int(c.backend), err, c.want)
+		}
 	}
 }
 

@@ -54,7 +54,12 @@ func (h *harness) start(addr string) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	h.addr = ln.Addr().String()
+	// Only the first start picks the address: a restart rebinds the same
+	// one while fault-injecting dialers may still be reading h.addr, so
+	// rewriting it (even with an equal value) would be a data race.
+	if h.addr == "" {
+		h.addr = ln.Addr().String()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

@@ -6,39 +6,11 @@ import (
 )
 
 // EncodeStats flattens a sim.Stats into a tagged binary blob (the ResultMsg
-// payload for JobSim). The field order mirrors the stats section of the
-// internal/checkpoint sim codec so the two stay reviewable side by side.
+// payload for JobSim).
 func EncodeStats(s sim.Stats) []byte {
 	var e core.StateEncoder
 	e.Tag("sta1")
-	e.Bytes([]byte(s.Scheduler))
-	e.Float(s.Duration)
-	e.Int(s.FullRefreshes)
-	e.Int(s.PartialRefreshes)
-	e.Int(s.BusyCycles)
-	e.Int(s.Accesses)
-	e.Float(s.ChargeRestored)
-	e.Int(int64(s.Violations))
-	e.Int(s.CorrectedErrors)
-	e.Int(s.UncorrectableErrors)
-	e.Int(s.RowsUpgraded)
-	e.Int(s.FaultsInjected)
-	e.Int(s.Guard.Alarms)
-	e.Int(s.Guard.Demotions)
-	e.Int(s.Guard.Promotions)
-	e.Int(s.Guard.Escalations)
-	e.Int(s.Guard.BreakerTrips)
-	e.Float(s.Guard.TimeDegraded)
-	e.Int(s.Scrub.RowsPatrolled)
-	e.Int(s.Scrub.Corrected)
-	e.Int(s.Scrub.Uncorrectable)
-	e.Int(s.Scrub.Reprofiles)
-	e.Int(s.Scrub.RowsHealed)
-	e.Int(s.Scrub.RowsRemapped)
-	e.Int(s.Scrub.HardFails)
-	e.Int(s.Scrub.BusyRetries)
-	e.Int(s.Scrub.SLOMisses)
-	e.Int(int64(s.Scrub.SparesLeft))
+	s.EncodeTo(&e)
 	return e.Data()
 }
 
@@ -46,34 +18,6 @@ func EncodeStats(s sim.Stats) []byte {
 func DecodeStats(p []byte) (sim.Stats, error) {
 	d := core.NewStateDecoder(p)
 	d.ExpectTag("sta1")
-	var s sim.Stats
-	s.Scheduler = string(d.Bytes())
-	s.Duration = d.Float()
-	s.FullRefreshes = d.Int()
-	s.PartialRefreshes = d.Int()
-	s.BusyCycles = d.Int()
-	s.Accesses = d.Int()
-	s.ChargeRestored = d.Float()
-	s.Violations = int(d.Int())
-	s.CorrectedErrors = d.Int()
-	s.UncorrectableErrors = d.Int()
-	s.RowsUpgraded = d.Int()
-	s.FaultsInjected = d.Int()
-	s.Guard.Alarms = d.Int()
-	s.Guard.Demotions = d.Int()
-	s.Guard.Promotions = d.Int()
-	s.Guard.Escalations = d.Int()
-	s.Guard.BreakerTrips = d.Int()
-	s.Guard.TimeDegraded = d.Float()
-	s.Scrub.RowsPatrolled = d.Int()
-	s.Scrub.Corrected = d.Int()
-	s.Scrub.Uncorrectable = d.Int()
-	s.Scrub.Reprofiles = d.Int()
-	s.Scrub.RowsHealed = d.Int()
-	s.Scrub.RowsRemapped = d.Int()
-	s.Scrub.HardFails = d.Int()
-	s.Scrub.BusyRetries = d.Int()
-	s.Scrub.SLOMisses = d.Int()
-	s.Scrub.SparesLeft = int(d.Int())
+	s := sim.DecodeStatsFrom(d)
 	return s, finish(d)
 }

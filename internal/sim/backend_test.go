@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -37,7 +38,7 @@ func TestBatchQueueMatchesHeapPopOrder(t *testing.T) {
 		rows := 1 + rng.Intn(200)
 		var bq batchQueue
 		bq.reset()
-		heap := eventQueue{useHeap: true}
+		var heap eventHeap
 		periods := make([]float64, rows)
 		minPeriod := math.Inf(1)
 		for r := 0; r < rows; r++ {
@@ -91,7 +92,7 @@ func TestBatchQueuePendingSortedMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var bq batchQueue
 	bq.reset()
-	heap := eventQueue{useHeap: true}
+	var heap eventHeap
 	for r := 0; r < 300; r++ {
 		e := event{T: rng.Float64(), Row: r}
 		if r%2 == 0 {
@@ -117,8 +118,7 @@ func TestBatchQueuePendingSortedMatchesHeap(t *testing.T) {
 // backendHarness builds one fully-featured run configuration for the
 // backend equivalence matrix: a mis-binned retention profile (so ECC
 // classification fires), an access trace, checkpointing, and optional
-// scenario and scrub layers. Smaller than the wheel harness because the
-// matrix is much wider.
+// scenario and scrub layers.
 type backendHarness struct {
 	geom    device.BankGeometry
 	profile *retention.BankProfile
@@ -317,34 +317,27 @@ func TestBatchMatchesScalarSecondSeed(t *testing.T) {
 	}
 }
 
-// TestBatchLUTBackend covers the opt-in LUT backend: the run succeeds, the
-// refresh schedule is unchanged (it never depends on cell charge), the
-// violation verdicts agree with the exact backend on this workload, and the
-// bank's decay model is restored afterwards (the LUT swap must not leak out
-// of the run).
-func TestBatchLUTBackend(t *testing.T) {
+// TestRunRefusesUnlistedBackends pins the backend list at the run entry: a
+// value that was never a backend is refused, and 3 - the removed
+// approximate "batch-lut" backend - is refused by name instead of silently
+// running on an exact path.
+func TestRunRefusesUnlistedBackends(t *testing.T) {
 	h := newBackendHarness(t, 7)
-	exact, _ := h.runOnce(t, "vrl", "kitchen-sink", false, BackendBatch)
-	approx, _ := h.runOnce(t, "vrl", "kitchen-sink", false, BackendBatchLUT)
-	if approx.FullRefreshes != exact.FullRefreshes || approx.PartialRefreshes != exact.PartialRefreshes ||
-		approx.BusyCycles != exact.BusyCycles {
-		t.Fatalf("LUT backend changed the refresh schedule:\nexact: %+v\nlut:   %+v", exact, approx)
+	for _, c := range []struct {
+		backend Backend
+		want    string
+	}{{3, "batch-lut"}, {99, "unknown backend 99"}} {
+		bank, err := dram.NewBank(h.profile, retention.ExpDecay{}, retention.PatternAllZeros)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := h.opts
+		opts.Backend = c.backend
+		if _, err := Run(bank, h.sched(t, "vrl"), nil, opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("backend %d: Run = %v, want an error naming %q", int(c.backend), err, c.want)
+		}
 	}
-	if approx.Violations != exact.Violations {
-		t.Fatalf("LUT backend changed violations: exact %d, lut %d", exact.Violations, approx.Violations)
-	}
-
-	// The decay swap must be scoped to the run.
-	bank, err := dram.NewBank(h.profile, retention.ExpDecay{}, retention.PatternAllZeros)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := h.opts
-	opts.Backend = BackendBatchLUT
-	if _, err := Run(bank, h.sched(t, "vrl"), nil, opts); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := bank.Decay.(retention.ExpDecay); !ok {
-		t.Fatalf("bank.Decay not restored after LUT run: %T", bank.Decay)
+	if _, err := ParseBackend("batch-lut"); err == nil {
+		t.Fatal(`ParseBackend("batch-lut") must fail`)
 	}
 }

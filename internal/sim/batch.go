@@ -7,10 +7,9 @@ import (
 	"vrldram/internal/dram"
 )
 
-// Batched event queue. The timing wheel in wheel.go made pop O(1) amortized,
-// but it still pays a per-event bucket hash on push and a per-bucket sort on
-// drain, which together profile as the dominant cost of a refresh-only run.
-// The batch queue exploits the structure the wheel ignores: almost every
+// Batched event queue. A general priority queue (the scalar runner's binary
+// heap) pays O(log rows) comparisons per push and pop. The batch queue
+// exploits the structure of the refresh stream instead: almost every
 // event is a re-push at "now + period" for a period drawn from a handful of
 // distinct values (the retention bins), and the runner processes events in
 // ascending time order - so the re-pushes of one period value arrive already

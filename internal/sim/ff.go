@@ -3,15 +3,9 @@ package sim
 import "math"
 
 // Fast-forward planning: the pure arithmetic the BackendFastForward runner
-// uses to decide how far a quiescent window may extend and how much lane
-// capacity a skip needs. Kept free of simulator state so the fuzz target
-// (FuzzFastForwardPlan) can hammer it with arbitrary triples.
-
-// ffSkipMax bounds a single planned skip count. 2^50 refresh cycles is far
-// beyond any representable run (a device-year at the fastest JEDEC period is
-// ~5e8 cycles); the bound exists so float -> int conversion below never hits
-// values outside int range, which Go leaves implementation-defined.
-const ffSkipMax = 1 << 50
+// uses to decide how far a quiescent window may extend. Kept free of
+// simulator state so the fuzz target (FuzzFastForwardPlan) can hammer it
+// with arbitrary triples.
 
 // ffHorizon returns the earliest of the candidate fast-forward caps: the run
 // duration, the next checkpoint boundary, the next scrub sweep, the next
@@ -36,52 +30,10 @@ func ffHorizon(duration, nextCP, scrubDue, traceNext, stableUntil float64) float
 	return h
 }
 
-// ffSkip returns the number of whole refresh cycles of the given period that
-// fit strictly below horizon starting from t: the largest k >= 0 with
-// t + k*period < horizon, computed against the same float arithmetic the
-// event queue will actually perform (t + float64(k)*period), so the plan
-// never promises a skip whose final event lands on or past the horizon.
-// Degenerate inputs (non-positive or NaN period, t already at or past the
-// horizon) plan zero skips.
-func ffSkip(t, period, horizon float64) int {
-	if !(period > 0) || !(t < horizon) {
-		return 0
-	}
-	r := (horizon - t) / period
-	k := ffSkipMax
-	if r < ffSkipMax {
-		k = int(r)
-	}
-	// The division is one rounding away from the repeated-add reality on
-	// either side - and arbitrarily far off when horizon-t overflows to
-	// +Inf, where the estimate saturates. Bisect the saturated estimate
-	// down onto the actual expression (t itself is below the horizon, so
-	// k=0 always qualifies), then settle the last rounding steps linearly.
-	if !(t+float64(k)*period < horizon) {
-		lo, hi := 0, k
-		for hi-lo > 1 {
-			mid := lo + (hi-lo)/2
-			if t+float64(mid)*period < horizon {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		k = lo
-	}
-	for k > 0 && !(t+float64(k)*period < horizon) {
-		k--
-	}
-	for k < ffSkipMax && t+float64(k+1)*period < horizon {
-		k++
-	}
-	return k
-}
-
 // ffMinLap returns the smallest refresh period among lanes holding
 // unconsumed events - the shortest window span in which a fast-forward
 // kernel can replay at least one full lap of some lane. Windows narrower
-// than this cannot amortize the kernels' per-window full-lane scans, so the
+// than this cannot amortize the kernel's per-window full-lane scans, so the
 // runner skips the attempt (+Inf when no lane holds events, or a lane's
 // period is degenerate, which sends the window to the batch path).
 func ffMinLap(lanes []batchLane) float64 {
@@ -99,39 +51,6 @@ func ffMinLap(lanes []batchLane) float64 {
 		}
 	}
 	return min
-}
-
-// ffGrowLanes pre-sizes each lane's buffer for a fast-forward window so the
-// kernel's in-place compaction (which needs spare capacity to absorb a lap's
-// re-pushes) does not fall into per-append growth. The heuristic: a lane
-// re-pushes once per consumed event, and consumes at most laps = ffSkip full
-// rotations of its unconsumed tail, but capacity only ever needs to hold one
-// rotation plus slack - pops balance pushes, so occupancy never exceeds the
-// unconsumed count. Growth is capped to keep a pathological period from
-// hoarding memory.
-func ffGrowLanes(lanes []batchLane, horizon float64) {
-	for i := range lanes {
-		l := &lanes[i]
-		n := len(l.Events) - l.Head
-		if n == 0 {
-			continue
-		}
-		laps := ffSkip(l.Events[l.Head].T, l.Delta, horizon)
-		if laps == 0 {
-			continue
-		}
-		want := 2*n + 64
-		if max := 4*n + 1024; want > max {
-			want = max
-		}
-		if cap(l.Events) >= want {
-			continue
-		}
-		grown := make([]event, len(l.Events)-l.Head, want)
-		copy(grown, l.Events[l.Head:])
-		l.Events = grown
-		l.Head = 0
-	}
 }
 
 // mixedQuietBelow reports whether the mixed intake holds no event strictly

@@ -229,7 +229,7 @@ func TestFFPlanProperties(t *testing.T) {
 // the horizon, the plan is maximal (one more lap would cross), and the
 // horizon composition returns the minimum of its caps.
 func checkFFPlan(t0, period, horizon float64) bool {
-	k := ffSkip(t0, period, horizon)
+	k := dram.LapsBelow(t0, period, horizon)
 	if k < 0 {
 		return false
 	}
@@ -238,8 +238,8 @@ func checkFFPlan(t0, period, horizon float64) bool {
 			return false
 		}
 	}
-	if k < ffSkipMax && period > 0 && t0 < horizon {
-		// Maximality: the next lap must not also fit (ffSkipMax saturates).
+	if k < dram.MaxLaps && period > 0 && t0 < horizon {
+		// Maximality: the next lap must not also fit (MaxLaps saturates).
 		if t0+float64(k+1)*period < horizon {
 			return false
 		}
@@ -275,7 +275,7 @@ func FuzzFastForwardPlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, t0, period, horizon float64) {
 		if !checkFFPlan(t0, period, horizon) {
 			t.Fatalf("plan invariant violated for t=%g period=%g horizon=%g (skip=%d)",
-				t0, period, horizon, ffSkip(t0, period, horizon))
+				t0, period, horizon, dram.LapsBelow(t0, period, horizon))
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 
@@ -21,40 +22,39 @@ import (
 )
 
 // Backend selects the simulator's runner implementation, in the same spirit
-// as the SPICE solver's banded/dense switch: the scalar per-event loop is
-// the checked reference, and the batched runner - which drains whole
-// timing-wheel buckets and applies decay/sense/restore through the columnar
-// dram kernels - is bit-identical to it (Stats and checkpoint blobs; the
-// backend equivalence tests pin this across schedulers, scrub modes, and
-// scenarios).
+// as the SPICE solver's banded/dense switch: the scalar per-event loop over
+// a binary heap is the checked reference, and every other backend is
+// bit-identical to it (Stats and checkpoint blobs; the backend equivalence
+// tests pin this across schedulers, scrub modes, and scenarios). The values
+// are stored in fleet specs and manifests, so they never change meaning.
 type Backend int
 
 const (
-	// BackendAuto picks the batched runner: it is exact, so there is no
-	// accuracy trade-off to opt into.
-	BackendAuto Backend = iota
+	// BackendAuto picks the fastest exact runner for the run: fast-forward
+	// when the run is eligible, otherwise the batched runner.
+	BackendAuto Backend = 0
 	// BackendScalar forces the reference per-event loop.
-	BackendScalar
-	// BackendBatch forces the batched runner explicitly.
-	BackendBatch
-	// BackendBatchLUT runs the batched runner with the bank's decay law
-	// swapped for its precomputed monotone-LUT fit (retention.DecayLUTFor)
-	// for the duration of the run. Unlike every other backend this one is
-	// approximate - deviations are bounded by the LUT's 1e-9 equivalence
-	// gate, not bit-identical - which is why it is strictly opt-in and never
-	// what Auto resolves to.
-	BackendBatchLUT
+	BackendScalar Backend = 1
+	// BackendBatch forces the batched runner, which drains the period lanes
+	// of its event queue in (time, row)-sorted batches and applies
+	// decay/sense/restore through the columnar dram kernels.
+	BackendBatch Backend = 2
+	// backendRetiredLUT (3) was the approximate lookup-table backend
+	// ("batch-lut"). The value stays reserved so a stored spec carrying it is
+	// refused by name instead of being re-run on an exact path.
+	backendRetiredLUT Backend = 3
 	// BackendFastForward runs the batched runner with the steady-state
 	// fast-forward engine enabled on top: when the schedule is provably
 	// quiescent - scheduler periods stable (core.SteadyScheduler), scenario
 	// nominal (dram.SteadyModulator), no trace record, scrub sweep, or
 	// checkpoint boundary before the horizon - whole spans of refresh events
-	// are consumed by one fused kernel call (dram.Bank.RefreshStream)
-	// instead of per-bucket drains. It is exact: the kernel replays the
-	// per-event arithmetic in the same global order, so Stats and checkpoint
-	// blobs stay bit-identical to the scalar reference. BackendAuto resolves
-	// to it whenever the run is eligible.
-	BackendFastForward
+	// are consumed by one macro kernel call (dram.Bank.RefreshMacro) instead
+	// of per-batch drains, and any window the kernel refuses runs on the
+	// batch path. It is exact: the kernel replays the per-event arithmetic
+	// and folds ChargeRestored in the same global order, so Stats and
+	// checkpoint blobs stay bit-identical to the scalar reference.
+	// BackendAuto resolves to it whenever the run is eligible.
+	BackendFastForward Backend = 4
 )
 
 // String returns the backend's CLI name.
@@ -66,8 +66,6 @@ func (b Backend) String() string {
 		return "scalar"
 	case BackendBatch:
 		return "batch"
-	case BackendBatchLUT:
-		return "batch-lut"
 	case BackendFastForward:
 		return "fast-forward"
 	default:
@@ -77,7 +75,21 @@ func (b Backend) String() string {
 
 // BackendNames lists the valid CLI backend names in menu order.
 func BackendNames() []string {
-	return []string{"auto", "scalar", "batch", "batch-lut", "fast-forward"}
+	return []string{"auto", "scalar", "batch", "fast-forward"}
+}
+
+// Validate reports whether b is one of the listed backends. A stored 3 - the
+// removed approximate "batch-lut" backend - is refused by name: re-running
+// such a campaign on an exact backend would silently change its results.
+func (b Backend) Validate() error {
+	switch b {
+	case BackendAuto, BackendScalar, BackendBatch, BackendFastForward:
+		return nil
+	case backendRetiredLUT:
+		return fmt.Errorf("sim: backend 3 (batch-lut) was removed; its approximate results cannot be reproduced by an exact backend")
+	default:
+		return fmt.Errorf("sim: unknown backend %d (valid: %s)", int(b), strings.Join(BackendNames(), ", "))
+	}
 }
 
 // ParseBackend maps a CLI name to its Backend. The empty string means Auto.
@@ -89,8 +101,6 @@ func ParseBackend(name string) (Backend, error) {
 		return BackendScalar, nil
 	case "batch":
 		return BackendBatch, nil
-	case "batch-lut":
-		return BackendBatchLUT, nil
 	case "fast-forward":
 		return BackendFastForward, nil
 	default:
@@ -237,20 +247,90 @@ func (s Stats) OverheadFraction(tck float64) float64 {
 	return float64(s.BusyCycles) * tck / s.Duration
 }
 
+// EncodeTo appends every Stats field to e in one fixed order. Both
+// persisted forms use it - the service's "sta1" result payload and the stats
+// section of a "sim3" checkpoint - so reordering fields changes both.
+func (s Stats) EncodeTo(e *core.StateEncoder) {
+	e.Bytes([]byte(s.Scheduler))
+	e.Float(s.Duration)
+	e.Int(s.FullRefreshes)
+	e.Int(s.PartialRefreshes)
+	e.Int(s.BusyCycles)
+	e.Int(s.Accesses)
+	e.Float(s.ChargeRestored)
+	e.Int(int64(s.Violations))
+	e.Int(s.CorrectedErrors)
+	e.Int(s.UncorrectableErrors)
+	e.Int(s.RowsUpgraded)
+	e.Int(s.FaultsInjected)
+	e.Int(s.Guard.Alarms)
+	e.Int(s.Guard.Demotions)
+	e.Int(s.Guard.Promotions)
+	e.Int(s.Guard.Escalations)
+	e.Int(s.Guard.BreakerTrips)
+	e.Float(s.Guard.TimeDegraded)
+	e.Int(s.Scrub.RowsPatrolled)
+	e.Int(s.Scrub.Corrected)
+	e.Int(s.Scrub.Uncorrectable)
+	e.Int(s.Scrub.Reprofiles)
+	e.Int(s.Scrub.RowsHealed)
+	e.Int(s.Scrub.RowsRemapped)
+	e.Int(s.Scrub.HardFails)
+	e.Int(s.Scrub.BusyRetries)
+	e.Int(s.Scrub.SLOMisses)
+	e.Int(int64(s.Scrub.SparesLeft))
+}
+
+// DecodeStatsFrom reads the fields EncodeTo writes.
+func DecodeStatsFrom(d *core.StateDecoder) Stats {
+	var s Stats
+	s.Scheduler = string(d.Bytes())
+	s.Duration = d.Float()
+	s.FullRefreshes = d.Int()
+	s.PartialRefreshes = d.Int()
+	s.BusyCycles = d.Int()
+	s.Accesses = d.Int()
+	s.ChargeRestored = d.Float()
+	s.Violations = int(d.Int())
+	s.CorrectedErrors = d.Int()
+	s.UncorrectableErrors = d.Int()
+	s.RowsUpgraded = d.Int()
+	s.FaultsInjected = d.Int()
+	s.Guard.Alarms = d.Int()
+	s.Guard.Demotions = d.Int()
+	s.Guard.Promotions = d.Int()
+	s.Guard.Escalations = d.Int()
+	s.Guard.BreakerTrips = d.Int()
+	s.Guard.TimeDegraded = d.Float()
+	s.Scrub.RowsPatrolled = d.Int()
+	s.Scrub.Corrected = d.Int()
+	s.Scrub.Uncorrectable = d.Int()
+	s.Scrub.Reprofiles = d.Int()
+	s.Scrub.RowsHealed = d.Int()
+	s.Scrub.RowsRemapped = d.Int()
+	s.Scrub.HardFails = d.Int()
+	s.Scrub.BusyRetries = d.Int()
+	s.Scrub.SLOMisses = d.Int()
+	s.Scrub.SparesLeft = int(d.Int())
+	return s
+}
+
 // refresh event queue -------------------------------------------------------
 
 // event aliases dram.StreamEvent so the batch queue's period lanes can be
-// handed to the fast-forward kernel (dram.Bank.RefreshStream) without
+// handed to the fast-forward kernel (dram.Bank.RefreshMacro) without
 // copying or converting.
 type event = dram.StreamEvent
 
-// eventHeap is a binary min-heap ordered by (time, row). It deliberately
-// does NOT implement container/heap: that interface boxes every pushed and
-// popped element into an interface{}, costing two heap allocations per
-// refresh event in the simulator's hottest loop. The inlined sift functions
-// below keep events on the slice. The (time, row) order is total - no two
-// events share both fields - so the pop sequence is uniquely determined by
-// the comparator and independent of the heap's internal layout.
+// eventHeap is a binary min-heap ordered by (time, row): the scalar
+// runner's queue, and the reference the batch queue's tests compare
+// against. It deliberately does NOT implement container/heap: that
+// interface boxes every pushed and popped element into an interface{},
+// costing two heap allocations per refresh event in the simulator's
+// hottest loop. The inlined sift functions below keep events on the slice.
+// The (time, row) order is total - no two events share both fields - so
+// the pop sequence is uniquely determined by the comparator and
+// independent of the heap's internal layout.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {
@@ -290,13 +370,6 @@ func (h eventHeap) siftDown(i int) {
 	}
 }
 
-// init establishes the heap invariant over arbitrary contents.
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
 	h.siftUp(len(*h) - 1)
@@ -312,13 +385,46 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// reset empties the heap, keeping its allocation.
+func (h *eventHeap) reset() { *h = (*h)[:0] }
+
+func (h *eventHeap) size() int { return len(*h) }
+
+// pushNext implements refreshQueue; the heap takes no advantage of the
+// period hint.
+func (h *eventHeap) pushNext(e event, _ float64) { h.push(e) }
+
+func (h *eventHeap) peekTime() float64 {
+	if len(*h) == 0 {
+		return math.Inf(1)
+	}
+	return (*h)[0].T
+}
+
+// pendingSorted returns the outstanding events in canonical (time, row)
+// order. Checkpoints store this form, so checkpoint blobs are independent of
+// the queue implementation and of any queue-internal layout.
+func (h *eventHeap) pendingSorted() []PendingEvent {
+	out := make([]PendingEvent, 0, len(*h))
+	for _, e := range *h {
+		out = append(out, PendingEvent{Time: e.T, Row: e.Row})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Time != out[j].Time {
+			return out[i].Time < out[j].Time
+		}
+		return out[i].Row < out[j].Row
+	})
+	return out
+}
+
 // Scratch holds the simulator's reusable per-run allocations - the refresh
-// event queues (a timing wheel for the scalar backend, the bucket ring for
+// event queues (the binary heap for the scalar backend, the period lanes for
 // the batched one) and the batch gather columns. A Scratch may be reused
 // across any number of sequential runs; concurrent runs need one Scratch
 // each. The zero value is usable.
 type Scratch struct {
-	queue eventQueue
+	queue eventHeap
 	batch batchQueue
 
 	// Batch gather columns: one bucket's worth of (row, time) pairs and
@@ -329,8 +435,8 @@ type Scratch struct {
 	bOps     []core.Op
 	bPeriods []float64
 
-	// ffScratch is the fast-forward kernel's gathered row state. Keeping it
-	// on the Scratch (not the bank) lets its decay memo stay warm across
+	// ffScratch is the fast-forward kernel's window columns and decay memo.
+	// Keeping it on the Scratch (not the bank) lets the memo stay warm across
 	// sequential runs that share a Scratch - the kernel invalidates any row
 	// whose retention changed, so reuse across different banks is safe.
 	ffScratch dram.StreamScratch
@@ -363,7 +469,7 @@ func NewScratch(rows int) *Scratch {
 	if rows < 0 {
 		rows = 0
 	}
-	return &Scratch{queue: eventQueue{heap: make(eventHeap, 0, rows)}}
+	return &Scratch{queue: make(eventHeap, 0, rows)}
 }
 
 // scratchPool recycles Scratch buffers across Run/RunContext calls, so even
@@ -386,7 +492,7 @@ func NewReusable(rows int) *Reusable {
 	if rows < 0 {
 		rows = 0
 	}
-	return &Reusable{scratch: Scratch{queue: eventQueue{heap: make(eventHeap, 0, rows)}}}
+	return &Reusable{scratch: Scratch{queue: make(eventHeap, 0, rows)}}
 }
 
 // Run is Run with this context's buffers.
@@ -446,6 +552,9 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	if opts.TCK <= 0 {
 		return Stats{}, fmt.Errorf("sim: TCK must be positive, got %g", opts.TCK)
 	}
+	if err := opts.Backend.Validate(); err != nil {
+		return Stats{}, err
+	}
 	if opts.CheckpointEvery < 0 {
 		return Stats{}, fmt.Errorf("sim: CheckpointEvery must be non-negative, got %g", opts.CheckpointEvery)
 	}
@@ -492,16 +601,6 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		if opts.Scrub != nil {
 			st.Scrub = opts.Scrub.ScrubSnapshot(now)
 		}
-	}
-
-	if opts.Backend == BackendBatchLUT {
-		lutDecay, err := retention.DecayLUTFor(bank.Decay)
-		if err != nil {
-			return Stats{}, fmt.Errorf("sim: %v", err)
-		}
-		orig := bank.Decay
-		bank.Decay = lutDecay
-		defer func() { bank.Decay = orig }()
 	}
 
 	rows := bank.Geom.Rows
@@ -918,7 +1017,17 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				traceNext = next.Time
 			}
 			hf := ffHorizon(opts.Duration, cpCap, scrubDue, traceNext, ffSteady.StablePeriodUntil(-1, tFirst))
-			if ffMod != nil {
+			// Engagement gate, purely a cost heuristic (any choice keeps the
+			// output bit-identical): the kernel pays a full scan of every
+			// lane row per window, so a window too short for even one lap of
+			// the densest lane - the norm on trace-dense runs, where the next
+			// record caps the horizon microseconds away - must go straight to
+			// the batch path instead of thrashing that scan per record. The
+			// gate runs before the scenario probe below, which scans every
+			// row too; the probe only lowers hf, so the gate is re-checked
+			// after it.
+			minLap := ffMinLap(bq.lanes)
+			if hf-tFirst >= minLap && ffMod != nil {
 				// The scenario must be exactly nominal over every decay
 				// interval the window can evaluate, which reach back to the
 				// oldest last-restore time, not just to tFirst.
@@ -926,22 +1035,16 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 					hf = u
 				}
 			}
-			// Engagement gate, purely a cost heuristic (any choice keeps the
-			// output bit-identical): the kernels pay a full scan of every
-			// lane row per window, so a window too short for even one lap of
-			// the densest lane - the norm on trace-dense runs, where the next
-			// record caps the horizon microseconds away - must go straight to
-			// the batch path instead of thrashing that scan per record.
-			if hf-tFirst >= ffMinLap(bq.lanes) && (bq.mixedQuietBelow(hf) || bq.adoptMixed(ffCfg.Period, ffCfg.Periods)) {
-				ffGrowLanes(bq.lanes, hf)
-				// Kernel tiering: the macro kernel refuses (cleanly, before
+			if hf-tFirst >= minLap && (bq.mixedQuietBelow(hf) || bq.adoptMixed(ffCfg.Period, ffCfg.Periods)) {
+				// The macro kernel refuses (cleanly, before consuming or
 				// mutating anything) any lane shape outside its verified
-				// regular-lap structure; the rotor kernel then handles the
-				// same window event-by-event, bailing with partial progress
-				// only at a cross-lane row collision it cannot re-push.
+				// regular-lap structure; such a window, like one whose lanes
+				// held nothing below hf, falls through to the batch path,
+				// which guarantees progress.
 				res, err := bank.RefreshMacro(&scratch.ffScratch, bq.lanes, hf, &ffCfg, st.ChargeRestored)
-				if err == nil && res.Bailed && res.Events == 0 {
-					res, err = bank.RefreshStream(&scratch.ffScratch, bq.lanes, hf, &ffCfg, st.ChargeRestored)
+				if err != nil {
+					finalize(now)
+					return st, err
 				}
 				if res.Events > 0 {
 					// The kernel replayed res.Events iterations of the
@@ -958,29 +1061,8 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 					busyUntil = res.LastTime + float64(res.LastCycles)*opts.TCK
 					now = res.LastTime
 					scratch.ffWindows++
-				}
-				if err != nil {
-					finalize(now)
-					return st, err
-				}
-				if res.Bailed {
-					// The kernel stopped before an event it could not re-push
-					// exactly; that event is the queue minimum (the mixed
-					// intake is quiet below hf), so one scalar step clears it.
-					ev := q.pop()
-					now = ev.T
-					if err := processEvent(ev); err != nil {
-						finalize(ev.T)
-						return st, err
-					}
 					continue
 				}
-				if res.Events > 0 {
-					continue
-				}
-				// Events == 0 and no bail: the lanes held nothing below hf
-				// after all (tFirst came from a boundary edge); fall through
-				// to the batch path, which guarantees progress.
 			}
 		}
 		h := tFirst + batchWindow
