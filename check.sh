@@ -77,6 +77,7 @@ internal/fleet:FuzzManifestDecode
 internal/scenario:FuzzScenarioDecode
 internal/dram:FuzzRefreshBatch
 internal/sim:FuzzFastForwardPlan
+internal/memctrl:FuzzControllerInvariants
 "
 for entry in $FUZZ_TARGETS; do
     pkg=${entry%%:*}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"vrldram/internal/core"
 	"vrldram/internal/dram"
 	"vrldram/internal/memctrl"
 	"vrldram/internal/profiler"
@@ -51,7 +52,7 @@ func (s *System) MemoryLatency(kind SchedulerKind, accesses []Access, duration, 
 			Write:   a.Write,
 		}
 	}
-	st, _, err := memctrl.Run(bank, sched, reqs, memctrl.Options{
+	st, _, err := memctrl.Run([]*dram.Bank{bank}, []core.Scheduler{sched}, reqs, memctrl.Options{
 		Timing:       memctrl.DefaultTiming(),
 		TCK:          s.params.TCK,
 		Duration:     duration,

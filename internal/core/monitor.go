@@ -1,9 +1,8 @@
 package core
 
 // Optional capabilities a refresh scheduler (or a wrapper around one) can
-// implement to participate in online safety monitoring. The simulator and
-// the command-level controller probe for these with type assertions, so a
-// plain scheduler pays nothing.
+// implement to participate in online safety monitoring. The simulator
+// probes for these with type assertions, so a plain scheduler pays nothing.
 
 // SenseMonitor receives the sensed weakest-cell charge of every refresh
 // operation, before restoration. A safety controller uses the stream to

@@ -522,3 +522,18 @@ func UpgradeRows(profile *retention.BankProfile, rows []int, bin float64) *reten
 	}
 	return out
 }
+
+// StaggerFrac spreads row refresh phases deterministically across their
+// periods (real controllers spread refreshes across tREFI slots): a row's
+// first refresh lands at StaggerFrac(row) of its period. The golden-ratio
+// sequence avoids aligning rows that share a period. The simulator, the
+// rank model and the command-level controller all seed their refresh
+// timelines from it.
+func StaggerFrac(row int) float64 {
+	const phi = 0.6180339887498949
+	// x - floor(x) is bit-identical to math.Mod(x, 1) for finite x >= 0
+	// (the subtraction is exact by Sterbenz' lemma) and lets the compiler
+	// use the hardware rounding instruction instead of the fmod kernel.
+	x := float64(row) * phi
+	return x - math.Floor(x)
+}

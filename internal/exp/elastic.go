@@ -70,7 +70,7 @@ func ElasticSweep(cfg Config) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		st, _, err := memctrl.Run(bank, sched, reqs, memctrl.Options{
+		st, _, err := memctrl.Run([]*dram.Bank{bank}, []core.Scheduler{sched}, reqs, memctrl.Options{
 			Timing:       memctrl.DefaultTiming(),
 			TCK:          cfg.Params.TCK,
 			Duration:     cfg.Duration,
@@ -148,11 +148,12 @@ func SALPSweep(cfg Config) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		st, _, err := memctrl.RunSALP(bank, sched, reqs, memctrl.Options{
-			Timing:   memctrl.DefaultTiming(),
-			TCK:      cfg.Params.TCK,
-			Duration: cfg.Duration,
-		}, c.nSub)
+		st, _, err := memctrl.Run([]*dram.Bank{bank}, []core.Scheduler{sched}, reqs, memctrl.Options{
+			Timing:    memctrl.DefaultTiming(),
+			TCK:       cfg.Params.TCK,
+			Duration:  cfg.Duration,
+			Subarrays: c.nSub,
+		})
 		if err != nil {
 			return err
 		}

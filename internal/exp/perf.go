@@ -50,7 +50,7 @@ func PerfImpact(cfg Config) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		reqs := memctrl.RequestsFromTrace(recs, cfg.Params.TCK)
+		reqs := memctrl.RequestsFromTrace(recs, cfg.Params.TCK, 1)
 
 		run := func(mk func() (core.Scheduler, error)) (memctrl.Stats, error) {
 			sched, err := mk()
@@ -61,7 +61,7 @@ func PerfImpact(cfg Config) (*Result, error) {
 			if err != nil {
 				return memctrl.Stats{}, err
 			}
-			st, _, err := memctrl.Run(bank, sched, reqs, mopts)
+			st, _, err := memctrl.Run([]*dram.Bank{bank}, []core.Scheduler{sched}, reqs, mopts)
 			if err != nil {
 				return memctrl.Stats{}, err
 			}

@@ -128,7 +128,7 @@ func RankPerfSweep(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	reqs := memctrl.MultiRequestsFromTrace(recs, cfg.Params.TCK, nBanks)
+	reqs := memctrl.RequestsFromTrace(recs, cfg.Params.TCK, nBanks)
 
 	r := &Result{
 		ID:    "abl-rankperf",
@@ -147,9 +147,8 @@ func RankPerfSweep(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, _, err := memctrl.RunMulti(banksB, schedsB, reqs, memctrl.MultiOptions{
-		Timing: memctrl.DefaultTiming(), TCK: cfg.Params.TCK,
-		Duration: cfg.Duration, Granularity: memctrl.PerBankRefresh,
+	base, _, err := memctrl.Run(banksB, schedsB, reqs, memctrl.Options{
+		Timing: memctrl.DefaultTiming(), TCK: cfg.Params.TCK, Duration: cfg.Duration,
 	})
 	if err != nil {
 		return nil, err
@@ -186,7 +185,7 @@ func RankPerfSweep(cfg Config) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		st, _, err := memctrl.RunMulti(banks, scheds, reqs, memctrl.MultiOptions{
+		st, _, err := memctrl.Run(banks, scheds, reqs, memctrl.Options{
 			Timing:      memctrl.DefaultTiming(),
 			TCK:         cfg.Params.TCK,
 			Duration:    cfg.Duration,

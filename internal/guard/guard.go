@@ -19,8 +19,8 @@
 // so a transient excursion does not pin the system in the slow mode
 // forever.
 //
-// The guard is itself a core.Scheduler, so it composes with the simulator,
-// the command-level controller, and the fault injectors of internal/fault.
+// The guard is itself a core.Scheduler, so it composes with the simulator
+// and the fault injectors of internal/fault.
 package guard
 
 import (

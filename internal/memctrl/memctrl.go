@@ -4,31 +4,28 @@
 // (the tRFC window the paper shrinks), so pending reads and writes queue up
 // behind it; this model measures by how much.
 //
-// The controller implements an FR-FCFS-style single-bank front end:
+// The controller implements an FR-FCFS-style front end over one or more
+// banks:
 //
 //   - an open-row (row buffer) policy with ACT/PRE/CAS timing,
 //   - row-hit-first scheduling among queued requests,
 //   - refresh operations injected by a core.Scheduler at each row's binned
-//     refresh instant, blocking the bank for the operation's tRFC,
+//     refresh instant, blocking the row's bank (or subarray) for the
+//     operation's tRFC, issued per bank or rank-wide,
 //   - charge tracking through the dram.Bank model, so a mis-scheduled
-//     refresh policy still surfaces as data-integrity violations here.
+//     refresh policy still surfaces as data-integrity violations here, and
+//     activations that fully restore a row (the property VRL-Access uses).
 //
 // Latencies are in DRAM clock cycles, consistent with the rest of the
 // repository (tCK from device.Params).
 package memctrl
 
 import (
-	"container/heap"
 	"fmt"
-	"io"
-	"math"
-	"sort"
+	"slices"
 
 	"vrldram/internal/core"
 	"vrldram/internal/dram"
-	"vrldram/internal/ecc"
-	"vrldram/internal/retention"
-	"vrldram/internal/scrub"
 	"vrldram/internal/trace"
 )
 
@@ -76,10 +73,38 @@ func (t Timing) Validate() error {
 	return nil
 }
 
+// RefreshGranularity selects the refresh command scope.
+type RefreshGranularity int
+
+// Refresh scopes.
+const (
+	// PerBankRefresh refreshes each bank on its own schedule; other banks
+	// keep serving requests.
+	PerBankRefresh RefreshGranularity = iota
+	// AllBankRefresh issues rank-wide commands: row r refreshes in every
+	// bank at the minimum of their periods, and every bank is blocked until
+	// the slowest bank's operation finishes. This is the request-side
+	// counterpart of internal/rank's refresh-only accounting.
+	AllBankRefresh
+)
+
+// String names the granularity.
+func (g RefreshGranularity) String() string {
+	switch g {
+	case PerBankRefresh:
+		return "per-bank"
+	case AllBankRefresh:
+		return "all-bank"
+	default:
+		return fmt.Sprintf("RefreshGranularity(%d)", int(g))
+	}
+}
+
 // Request is one memory request presented to the controller.
 type Request struct {
 	Arrival int64 // cycle of arrival
-	Row     int
+	Bank    int
+	Row     int // row within the bank
 	Write   bool
 
 	// Filled by the controller.
@@ -93,7 +118,7 @@ func (r Request) Latency() int64 { return r.Finish - r.Arrival }
 
 // Stats summarizes one controller run.
 type Stats struct {
-	Scheduler string
+	Scheduler string // the first bank's policy
 
 	Requests       int64
 	Reads          int64
@@ -105,29 +130,16 @@ type Stats struct {
 	MaxLatency     int64   // cycles
 	AvgReadLatency float64
 
-	RefreshOps         int64
+	// RefreshOps counts refresh commands; an all-bank command counts once.
+	RefreshOps int64
+	// RefreshBusyCycles sums the cycles each bank spent refreshing.
 	RefreshBusyCycles  int64
 	RefreshesPostponed int64 // elastic postponement steps taken
-	// StalledByRefresh counts requests that arrived while a refresh held the
-	// bank or queued behind one.
+	// StalledByRefresh counts requests that arrived while a refresh held
+	// their bank (or subarray), or queued there behind one.
 	StalledByRefresh int64
 
-	Violations int
-
-	// ECC classification of sub-limit refresh senses (populated when
-	// Options.ECC is set).
-	CorrectedErrors     int64
-	UncorrectableErrors int64
-	// FaultsInjected counts faults delivered by any core.FaultCounter in the
-	// scheduler stack (internal/fault injectors).
-	FaultsInjected int64
-	// Guard carries the degradation controller's counters when a
-	// core.GuardReporter (internal/guard) is in the scheduler stack.
-	Guard core.GuardStats
-	// Scrub carries the patrol scrubber's counters when Options.Scrub ran;
-	// ScrubBusyCycles is the bank time its patrol reads consumed.
-	Scrub           core.ScrubStats
-	ScrubBusyCycles int64
+	Violations int // summed over banks
 }
 
 // Options configures a run.
@@ -143,367 +155,485 @@ type Options struct {
 	// concentrated). 0 disables postponement. The next refresh is scheduled
 	// from the original due time, so debt does not accumulate. The charge
 	// guardband absorbs the extra decay; the bank model verifies it.
+	// Postponement applies to per-bank commands only.
 	ElasticSlack float64
 
-	// ECC, when set, classifies sub-limit refresh senses into corrected and
-	// uncorrectable errors (same convention as sim.Options.ECC).
-	ECC *ecc.ChargeClassifier
-	// DemoteOnCorrect steps the row one rung down the degradation ladder on
-	// an ECC-corrected error, when the scheduler supports core.Demoter.
-	DemoteOnCorrect bool
+	// Granularity selects per-bank (the zero value) or all-bank commands.
+	Granularity RefreshGranularity
 
-	// Scrub, when set, interleaves the patrol scrubber's reads with demand
-	// traffic on the command timeline: a patrol read behaves like a row-miss
-	// read (closing the open row, occupying the bank for ACT+CAS+PRE), loses
-	// arbitration ties to both refreshes and requests, and defers with the
-	// scrubber's own backoff while the bank is busy.
-	Scrub *scrub.Scrubber
+	// Subarrays splits each bank's rows into this many contiguous,
+	// independent subarrays with their own row buffers (subarray-level
+	// parallelism, Kim et al. ISCA'12 - reference [21] of the paper): a
+	// refresh blocks only its own subarray while the others keep serving
+	// requests. SALP hides refreshes from other subarrays, VRL shortens the
+	// blocking inside the refreshed one. The model is SALP-ideal (no
+	// shared-bus serialization), so its results are an upper bound on the
+	// technique. 0 or 1 means one row buffer per bank.
+	Subarrays int
 }
 
-// event types for the unified timeline.
-type evKind int
+// validate reports the first unusable option for the given rank.
+func (o Options) validate(banks []*dram.Bank, scheds []core.Scheduler) error {
+	if len(banks) == 0 || len(banks) != len(scheds) {
+		return fmt.Errorf("memctrl: need matching banks and schedulers, got %d/%d", len(banks), len(scheds))
+	}
+	rows := banks[0].Geom.Rows
+	for b := 1; b < len(banks); b++ {
+		if banks[b].Geom.Rows != rows {
+			return fmt.Errorf("memctrl: bank %d geometry mismatch", b)
+		}
+	}
+	if err := o.Timing.Validate(); err != nil {
+		return err
+	}
+	if o.TCK <= 0 || o.Duration <= 0 {
+		return fmt.Errorf("memctrl: TCK and Duration must be positive")
+	}
+	if o.ElasticSlack < 0 || o.ElasticSlack > 0.5 {
+		return fmt.Errorf("memctrl: ElasticSlack %g outside [0, 0.5]", o.ElasticSlack)
+	}
+	switch o.Granularity {
+	case PerBankRefresh:
+	case AllBankRefresh:
+		if o.ElasticSlack > 0 {
+			return fmt.Errorf("memctrl: elastic refresh postpones per-bank commands only")
+		}
+	default:
+		return fmt.Errorf("memctrl: unknown granularity %d", o.Granularity)
+	}
+	if o.Subarrays < 0 || o.Subarrays > rows {
+		return fmt.Errorf("memctrl: subarray count %d outside [0,%d]", o.Subarrays, rows)
+	}
+	return nil
+}
 
-const (
-	evRefresh evKind = iota
-	evRequest
-	evScrub // patrol read: background priority, loses every arbitration tie
-)
-
-type event struct {
+// refreshEvent is a refresh command on the timeline: row `row` of bank
+// `bank`, or of every bank when bank < 0 (an all-bank command).
+type refreshEvent struct {
 	cycle int64
-	kind  evKind
-	row   int   // refresh row
-	due   int64 // refresh: originally scheduled cycle (for elastic postponement)
-	req   int   // request index
-	seq   int64
+	due   int64 // originally scheduled cycle (for elastic postponement)
+	seq   int64 // push order: breaks ties between refreshes due together
+	row   int
+	bank  int
 }
 
-type eventHeap []event
+// refreshQueue is a binary min-heap of refresh commands ordered by
+// (cycle, seq). Requests never enter it: they are read in arrival order.
+type refreshQueue []refreshEvent
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].cycle != h[j].cycle {
-		return h[i].cycle < h[j].cycle
+func (q refreshQueue) less(i, j int) bool {
+	if q[i].cycle != q[j].cycle {
+		return q[i].cycle < q[j].cycle
 	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind // refreshes win ties: the controller must not starve them
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return q[i].seq < q[j].seq
 }
 
-// Run services the request stream against the bank under the refresh
-// scheduler. Requests must be in arrival order. The returned per-request
-// slice carries the individual latencies for distribution analysis.
-func Run(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options) (Stats, []Request, error) {
-	if err := opts.Timing.Validate(); err != nil {
+func (q refreshQueue) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(q) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(q) && q.less(r, l) {
+			m = r
+		}
+		if !q.less(m, i) {
+			return
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+}
+
+func (q refreshQueue) init() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+}
+
+// popTop removes the earliest command.
+func (q *refreshQueue) popTop() {
+	n := len(*q) - 1
+	(*q)[0] = (*q)[n]
+	*q = (*q)[:n]
+	q.down(0)
+}
+
+// unit is one independent row buffer: a bank, or one of its subarrays.
+type unit struct {
+	free           int64 // cycle the unit can accept the next command
+	openRow        int   // -1 when precharged
+	rowOpenedAt    int64
+	lastRefreshEnd int64 // cycle the most recent refresh released the unit
+	pending        []int // indices of queued requests
+}
+
+// controller is one run's state: the refresh timeline, the arrival-ordered
+// request stream with its cursor, and the per-unit row buffers.
+type controller struct {
+	t       Timing
+	tck     float64
+	slack   float64
+	horizon int64
+
+	banks  []*dram.Bank
+	scheds []core.Scheduler
+
+	reqs []Request
+	next int // first request not yet arrived
+
+	units      []unit // bank-major: bank*nSub + subarray
+	nSub       int
+	rowsPerSub int
+
+	refs refreshQueue
+	seq  int64
+	st   Stats
+}
+
+// Run services the request stream against the banks, each under its own
+// refresh scheduler. Requests must be in arrival order; those arriving at or
+// after the horizon are dropped. The returned per-request slice carries the
+// individual latencies for distribution analysis.
+func Run(banks []*dram.Bank, scheds []core.Scheduler, reqs []Request, opts Options) (Stats, []Request, error) {
+	if err := opts.validate(banks, scheds); err != nil {
 		return Stats{}, nil, err
 	}
-	if opts.TCK <= 0 || opts.Duration <= 0 {
-		return Stats{}, nil, fmt.Errorf("memctrl: TCK and Duration must be positive")
+	rows := banks[0].Geom.Rows
+	c := &controller{
+		t:       opts.Timing,
+		tck:     opts.TCK,
+		slack:   opts.ElasticSlack,
+		horizon: int64(opts.Duration / opts.TCK),
+		banks:   banks,
+		scheds:  scheds,
+		nSub:    max(opts.Subarrays, 1),
+		st:      Stats{Scheduler: scheds[0].Name()},
 	}
-	if opts.ElasticSlack < 0 || opts.ElasticSlack > 0.5 {
-		return Stats{}, nil, fmt.Errorf("memctrl: ElasticSlack %g outside [0, 0.5]", opts.ElasticSlack)
+	c.rowsPerSub = (rows + c.nSub - 1) / c.nSub
+	c.units = make([]unit, len(banks)*c.nSub)
+	for i := range c.units {
+		c.units[i].openRow = -1
 	}
-	if opts.ECC != nil {
-		if err := opts.ECC.Validate(); err != nil {
+	if err := c.seedRefreshes(opts.Granularity, rows); err != nil {
+		return Stats{}, nil, err
+	}
+	if err := c.admit(reqs, rows); err != nil {
+		return Stats{}, nil, err
+	}
+
+	// One timeline: a refresh wins a tie with a request, so the controller
+	// cannot starve refreshes.
+	for {
+		if len(c.refs) > 0 && (c.next == len(c.reqs) || c.refs[0].cycle <= c.reqs[c.next].Arrival) {
+			if err := c.refresh(); err != nil {
+				return Stats{}, nil, err
+			}
+			continue
+		}
+		if c.next == len(c.reqs) {
+			break
+		}
+		c.next++
+		if err := c.arrive(c.next - 1); err != nil {
 			return Stats{}, nil, err
 		}
 	}
-	horizon := int64(opts.Duration / opts.TCK)
-	st := Stats{Scheduler: sched.Name()}
-	monitor, _ := sched.(core.SenseMonitor)
+	// Drain the queues after the last event.
+	for i := range c.units {
+		if err := c.drain(&c.units[i], 1<<62); err != nil {
+			return Stats{}, nil, err
+		}
+	}
+	return c.stats(), c.reqs, nil
+}
 
-	// Seed the refresh timeline (same golden-ratio stagger as internal/sim).
-	h := make(eventHeap, 0, bank.Geom.Rows+len(reqs))
-	var seq int64
-	pushRefresh := func(row int, atCycle, due int64) {
-		if atCycle >= horizon {
-			return
+// seedRefreshes queues every row's first refresh at its golden-ratio
+// stagger (the same spread as internal/sim).
+func (c *controller) seedRefreshes(g RefreshGranularity, rows int) error {
+	n := len(c.banks)
+	c.refs = make(refreshQueue, 0, rows*n)
+	if g == AllBankRefresh {
+		for r := 0; r < rows; r++ {
+			p := c.allBankPeriod(r)
+			if p <= 0 {
+				return fmt.Errorf("memctrl: row %d period %g", r, p)
+			}
+			c.queue(refreshEvent{cycle: int64(core.StaggerFrac(r) * p / c.tck), row: r, bank: -1})
 		}
-		seq++
-		heap.Push(&h, event{cycle: atCycle, kind: evRefresh, row: row, due: due, seq: seq})
+	} else {
+		for b := 0; b < n; b++ {
+			for r := 0; r < rows; r++ {
+				p := c.scheds[b].Period(r)
+				if p <= 0 {
+					return fmt.Errorf("memctrl: bank %d row %d period %g", b, r, p)
+				}
+				c.queue(refreshEvent{cycle: int64(core.StaggerFrac(r*n+b) * p / c.tck), row: r, bank: b})
+			}
+		}
 	}
-	for r := 0; r < bank.Geom.Rows; r++ {
-		p := sched.Period(r)
-		if p <= 0 {
-			return Stats{}, nil, fmt.Errorf("memctrl: period for row %d is %g", r, p)
-		}
-		frac := staggerFrac(r)
-		first := int64(frac * p / opts.TCK)
-		pushRefresh(r, first, first)
+	c.refs.init()
+	return nil
+}
+
+// queue appends a first refresh that falls inside the horizon.
+func (c *controller) queue(ev refreshEvent) {
+	if ev.cycle >= c.horizon {
+		return
 	}
-	pushScrub := func(atCycle int64) {
-		if atCycle >= horizon {
-			return
+	c.seq++
+	ev.due, ev.seq = ev.cycle, c.seq
+	c.refs = append(c.refs, ev)
+}
+
+// admit copies and checks the request stream, cutting it at the horizon.
+func (c *controller) admit(reqs []Request, rows int) error {
+	c.reqs = slices.Clone(reqs)
+	var last int64
+	for i, r := range c.reqs {
+		if r.Arrival < last {
+			return fmt.Errorf("memctrl: request %d arrives at cycle %d, before cycle 0 or its predecessor", i, r.Arrival)
 		}
-		seq++
-		heap.Push(&h, event{cycle: atCycle, kind: evScrub, seq: seq})
-	}
-	if opts.Scrub != nil {
-		if opts.Scrub.Rows() != bank.Geom.Rows {
-			return Stats{}, nil, fmt.Errorf("memctrl: scrubber patrols %d rows, bank has %d", opts.Scrub.Rows(), bank.Geom.Rows)
+		last = r.Arrival
+		if r.Bank < 0 || r.Bank >= len(c.banks) || r.Row < 0 || r.Row >= rows {
+			return fmt.Errorf("memctrl: request %d addresses bank %d row %d", i, r.Bank, r.Row)
 		}
-		pushScrub(int64(math.Ceil(opts.Scrub.NextDue() / opts.TCK)))
-	}
-	out := make([]Request, len(reqs))
-	copy(out, reqs)
-	var lastArrival int64 = -1
-	for i := range out {
-		if out[i].Arrival < lastArrival {
-			return Stats{}, nil, fmt.Errorf("memctrl: request %d arrives out of order", i)
-		}
-		lastArrival = out[i].Arrival
-		if out[i].Row < 0 || out[i].Row >= bank.Geom.Rows {
-			return Stats{}, nil, fmt.Errorf("memctrl: request %d row %d out of range", i, out[i].Row)
-		}
-		if out[i].Arrival >= horizon {
-			out = out[:i]
+		if r.Arrival >= c.horizon {
+			c.reqs = c.reqs[:i]
 			break
 		}
-		seq++
-		heap.Push(&h, event{cycle: out[i].Arrival, kind: evRequest, req: i, seq: seq})
 	}
+	return nil
+}
 
-	// Bank state.
-	t := opts.Timing
-	bankFree := int64(0) // cycle the bank can accept the next command
-	openRow := -1
-	rowOpenedAt := int64(-1)
-	pending := make([]int, 0, 64) // indices of queued requests
-	lastRefreshEnd := int64(-1)   // cycle the most recent refresh released the bank
+func (c *controller) unitOf(bank, row int) *unit {
+	return &c.units[bank*c.nSub+row/c.rowsPerSub]
+}
 
-	// idleClose applies the adaptive page policy: a row idle past the
-	// timeout has been precharged in the background by cycle `at`. The
-	// earliest a background PRE could issue is after both the last burst
-	// and the tRAS window; TCloseIdle (>= tRP) of further idleness hides
-	// the precharge entirely.
-	idleClose := func(at int64) {
-		if openRow < 0 || t.TCloseIdle == 0 {
-			return
+func (c *controller) allBankPeriod(row int) float64 {
+	p := c.scheds[0].Period(row)
+	for _, s := range c.scheds[1:] {
+		p = min(p, s.Period(row))
+	}
+	return p
+}
+
+// refresh executes the earliest refresh command and re-queues the row.
+func (c *controller) refresh() error {
+	ev := c.refs[0]
+	var period float64
+	if ev.bank >= 0 {
+		u := c.unitOf(ev.bank, ev.row)
+		// Elastic refresh: while requests are pending and slack remains,
+		// serve the queued work and step the refresh back behind it.
+		if c.slack > 0 && len(u.pending) > 0 {
+			deadline := ev.due + int64(c.slack*c.scheds[ev.bank].Period(ev.row)/c.tck)
+			if ev.cycle < deadline {
+				for len(u.pending) > 0 && u.free < deadline {
+					if err := c.serveOne(u, max(u.free, ev.cycle)); err != nil {
+						return err
+					}
+				}
+				c.st.RefreshesPostponed++
+				ev.cycle = min(max(u.free, ev.cycle+1), deadline)
+				c.requeue(ev)
+				return nil
+			}
 		}
-		preReady := bankFree
-		if m := rowOpenedAt + int64(t.TRAS); m > preReady {
-			preReady = m
+		if err := c.drain(u, ev.cycle); err != nil {
+			return err
 		}
-		if at-preReady >= int64(t.TCloseIdle) {
-			openRow = -1
+		if err := c.refreshUnit(u, ev.bank, ev.row, max(ev.cycle, u.free)); err != nil {
+			return err
+		}
+		c.st.StalledByRefresh += int64(len(u.pending))
+		period = c.scheds[ev.bank].Period(ev.row)
+	} else {
+		// All-bank command: synchronize, refresh everywhere, block every
+		// bank until the slowest finishes.
+		start := ev.cycle
+		for b := range c.banks {
+			u := c.unitOf(b, ev.row)
+			if err := c.drain(u, ev.cycle); err != nil {
+				return err
+			}
+			start = max(start, u.free)
+		}
+		end := start
+		for b := range c.banks {
+			u := c.unitOf(b, ev.row)
+			if err := c.refreshUnit(u, b, ev.row, start); err != nil {
+				return err
+			}
+			end = max(end, u.free)
+		}
+		for b := range c.banks {
+			u := c.unitOf(b, ev.row)
+			u.free, u.lastRefreshEnd = end, end
+			c.st.StalledByRefresh += int64(len(u.pending))
+		}
+		period = c.allBankPeriod(ev.row)
+	}
+	c.st.RefreshOps++
+	// Schedule from the ORIGINAL due time so postponement debt does not
+	// accumulate across periods.
+	next := ev.due + int64(period/c.tck)
+	if next >= c.horizon {
+		c.refs.popTop()
+		return nil
+	}
+	ev.cycle, ev.due = next, next
+	c.requeue(ev)
+	return nil
+}
+
+// requeue replaces the command at the top of the queue with ev.
+func (c *controller) requeue(ev refreshEvent) {
+	c.seq++
+	ev.seq = c.seq
+	c.refs[0] = ev
+	c.refs.down(0)
+}
+
+// refreshUnit closes the unit's open row and refreshes the bank's row at the
+// cycle the close allows; scheduler and bank model see the same instant.
+func (c *controller) refreshUnit(u *unit, bank, row int, start int64) error {
+	c.idleClose(u, start)
+	start = c.precharge(u, start)
+	when := float64(start) * c.tck
+	op := c.scheds[bank].RefreshOp(row, when)
+	if _, err := c.banks[bank].Refresh(row, when, op.Alpha); err != nil {
+		return err
+	}
+	u.free = start + int64(op.Cycles)
+	u.lastRefreshEnd = u.free
+	c.st.RefreshBusyCycles += int64(op.Cycles)
+	return nil
+}
+
+// arrive queues request i at its unit and serves as much as possible while
+// the unit is idle.
+func (c *controller) arrive(i int) error {
+	r := &c.reqs[i]
+	u := c.unitOf(r.Bank, r.Row)
+	if r.Arrival < u.lastRefreshEnd {
+		c.st.StalledByRefresh++ // arrived while a refresh held the unit
+	}
+	u.pending = append(u.pending, i)
+	for len(u.pending) > 0 {
+		now := max(u.free, r.Arrival)
+		if c.refreshFirst(now, r.Bank, r.Row) {
+			break
+		}
+		if err := c.serveOne(u, now); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	// serveOne issues the best pending request at or after cycle `now`,
-	// preferring row hits (FR-FCFS).
-	serveOne := func(now int64) {
-		if len(pending) == 0 {
-			return
-		}
-		pick := 0
-		if openRow >= 0 {
-			for k, idx := range pending {
-				if out[idx].Row == openRow {
-					pick = k
-					break
-				}
-			}
-		}
-		idx := pending[pick]
-		pending = append(pending[:pick], pending[pick+1:]...)
-		req := &out[idx]
+// refreshFirst reports whether the earliest pending event overall is a
+// refresh, due by cycle now, that touches the unit holding (bank, row): its
+// own per-bank command or an all-bank command, in the same subarray.
+func (c *controller) refreshFirst(now int64, bank, row int) bool {
+	if len(c.refs) == 0 {
+		return false
+	}
+	top := c.refs[0]
+	if top.cycle > now || (c.next < len(c.reqs) && c.reqs[c.next].Arrival < top.cycle) {
+		return false
+	}
+	return (top.bank == bank || top.bank < 0) && top.row/c.rowsPerSub == row/c.rowsPerSub
+}
 
-		start := now
-		if req.Arrival > start {
-			start = req.Arrival
-		}
-		idleClose(start)
-		var done int64
-		if openRow == req.Row {
-			req.RowHit = true
-			st.RowHits++
-			done = start + int64(t.TCL+t.TBL)
-		} else {
-			// Close the open row (respecting tRAS), open the new one.
-			pre := start
-			if openRow >= 0 {
-				minPre := rowOpenedAt + int64(t.TRAS)
-				if pre < minPre {
-					pre = minPre
-				}
-				pre += int64(t.TRP)
-			}
-			act := pre
-			done = act + int64(t.TRCD+t.TCL+t.TBL)
-			openRow = req.Row
-			rowOpenedAt = act
-			start = act
-		}
-		if req.Write {
-			done += int64(t.TWR)
-		}
-		req.Start = start
-		req.Finish = done
-		bankFree = done
-
-		// The activation restored the row: tell the charge model and the
-		// scheduler (VRL-Access exploits this).
-		when := float64(start) * opts.TCK
-		if !req.RowHit {
-			if _, err := bank.Access(req.Row, when); err == nil {
-				sched.OnAccess(req.Row, when)
-			}
+// drain serves pending work until the unit would pass `limit` or the queue
+// empties.
+func (c *controller) drain(u *unit, limit int64) error {
+	for len(u.pending) > 0 && u.free < limit {
+		if err := c.serveOne(u, u.free); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(event)
-		switch ev.kind {
-		case evRefresh:
-			// Elastic refresh: while requests are pending and slack remains,
-			// serve the queued work and step the refresh back behind it.
-			if opts.ElasticSlack > 0 && len(pending) > 0 {
-				maxDelay := int64(opts.ElasticSlack * sched.Period(ev.row) / opts.TCK)
-				deadline := ev.due + maxDelay
-				if ev.cycle < deadline {
-					for len(pending) > 0 && bankFree < deadline {
-						now := bankFree
-						if now < ev.cycle {
-							now = ev.cycle
-						}
-						serveOne(now)
-					}
-					retry := bankFree
-					if retry <= ev.cycle {
-						retry = ev.cycle + 1
-					}
-					if retry > deadline {
-						retry = deadline
-					}
-					st.RefreshesPostponed++
-					seq++
-					heap.Push(&h, event{cycle: retry, kind: evRefresh, row: ev.row, due: ev.due, seq: seq})
-					continue
-				}
-			}
-			// Drain any requests that can start strictly before the refresh.
-			for len(pending) > 0 && bankFree < ev.cycle {
-				before := bankFree
-				serveOne(bankFree)
-				if bankFree == before {
-					break
-				}
-			}
-			start := ev.cycle
-			if bankFree > start {
-				start = bankFree
-			}
-			idleClose(start)
-			op := sched.RefreshOp(ev.row, float64(start)*opts.TCK)
-			// Refresh implies closing the open row.
-			if openRow >= 0 {
-				minPre := rowOpenedAt + int64(t.TRAS)
-				if start < minPre {
-					start = minPre
-				}
-				start += int64(t.TRP)
-				openRow = -1
-			}
-			when := float64(start) * opts.TCK
-			res, err := bank.Refresh(ev.row, when, op.Alpha)
-			if err != nil {
-				return Stats{}, nil, err
-			}
-			if monitor != nil {
-				monitor.OnSense(ev.row, when, res.ChargeBefore)
-			}
-			if opts.ECC != nil && res.ChargeBefore < retention.SenseLimit {
-				switch opts.ECC.Classify(res.ChargeBefore) {
-				case ecc.Corrected:
-					st.CorrectedErrors++
-					if opts.DemoteOnCorrect {
-						if dm, ok := sched.(core.Demoter); ok {
-							dm.Demote(ev.row)
-						}
-					}
-				case ecc.Uncorrectable:
-					st.UncorrectableErrors++
-				}
-			}
-			bankFree = start + int64(op.Cycles)
-			lastRefreshEnd = bankFree
-			st.RefreshOps++
-			st.RefreshBusyCycles += int64(op.Cycles)
-			if len(pending) > 0 {
-				st.StalledByRefresh += int64(len(pending))
-			}
-			// Schedule from the ORIGINAL due time so postponement debt does
-			// not accumulate across periods.
-			nextDue := ev.due + int64(sched.Period(ev.row)/opts.TCK)
-			pushRefresh(ev.row, nextDue, nextDue)
-		case evScrub:
-			now := float64(ev.cycle) * opts.TCK
-			visited, err := opts.Scrub.Tick(now, float64(bankFree)*opts.TCK)
-			if err != nil {
-				return Stats{}, nil, err
-			}
-			if visited {
-				// The patrol read behaves like a row-miss read: close the open
-				// row (respecting tRAS), then ACT + CAS + PRE on the weak row.
-				start := ev.cycle
-				idleClose(start)
-				if openRow >= 0 {
-					minPre := rowOpenedAt + int64(t.TRAS)
-					if start < minPre {
-						start = minPre
-					}
-					start += int64(t.TRP)
-					openRow = -1
-				}
-				cost := int64(t.TRCD + t.TCL + t.TRP)
-				bankFree = start + cost
-				st.ScrubBusyCycles += cost
-			}
-			next := int64(math.Ceil(opts.Scrub.NextDue() / opts.TCK))
-			if next <= ev.cycle {
-				next = ev.cycle + 1
-			}
-			pushScrub(next)
-		case evRequest:
-			if ev.cycle < lastRefreshEnd {
-				// Arrived while a refresh held the bank.
-				st.StalledByRefresh++
-			}
-			pending = append(pending, ev.req)
-			// Serve as much as possible while the bank is idle.
-			for len(pending) > 0 {
-				next := bankFree
-				if next < ev.cycle {
-					next = ev.cycle
-				}
-				if h.Len() > 0 && h[0].cycle <= next && h[0].kind == evRefresh {
-					break // let the refresh in first
-				}
-				serveOne(next)
+// idleClose applies the adaptive page policy: a row idle past the timeout
+// has been precharged in the background by cycle `at`. The earliest a
+// background PRE could issue is after both the last burst and the tRAS
+// window; TCloseIdle (>= tRP) of further idleness hides the precharge.
+func (c *controller) idleClose(u *unit, at int64) {
+	if u.openRow < 0 || c.t.TCloseIdle == 0 {
+		return
+	}
+	if at-max(u.free, u.rowOpenedAt+int64(c.t.TRAS)) >= int64(c.t.TCloseIdle) {
+		u.openRow = -1
+	}
+}
+
+// precharge closes the unit's open row no earlier than `at` (respecting
+// tRAS) and returns the cycle the unit is precharged.
+func (c *controller) precharge(u *unit, at int64) int64 {
+	if u.openRow < 0 {
+		return at
+	}
+	u.openRow = -1
+	return max(at, u.rowOpenedAt+int64(c.t.TRAS)) + int64(c.t.TRP)
+}
+
+// serveOne issues the unit's best pending request at or after cycle `now`,
+// preferring row hits (FR-FCFS).
+func (c *controller) serveOne(u *unit, now int64) error {
+	pick := 0
+	if u.openRow >= 0 {
+		for k, idx := range u.pending {
+			if c.reqs[idx].Row == u.openRow {
+				pick = k
+				break
 			}
 		}
 	}
-	// Drain the queue after the last event.
-	for len(pending) > 0 {
-		serveOne(bankFree)
-	}
+	req := &c.reqs[u.pending[pick]]
+	u.pending = slices.Delete(u.pending, pick, pick+1)
 
-	// Aggregate.
+	start := max(now, req.Arrival)
+	c.idleClose(u, start)
+	var done int64
+	if u.openRow == req.Row {
+		req.RowHit = true
+		c.st.RowHits++
+		done = start + int64(c.t.TCL+c.t.TBL)
+	} else {
+		start = c.precharge(u, start)
+		done = start + int64(c.t.TRCD+c.t.TCL+c.t.TBL)
+		u.openRow = req.Row
+		u.rowOpenedAt = start
+	}
+	if req.Write {
+		done += int64(c.t.TWR)
+	}
+	req.Start = start
+	req.Finish = done
+	u.free = done
+	if req.RowHit {
+		return nil
+	}
+	// The activation restored the row: tell the charge model and the
+	// scheduler (VRL-Access exploits this).
+	when := float64(start) * c.tck
+	if _, err := c.banks[req.Bank].Access(req.Row, when); err != nil {
+		return err
+	}
+	c.scheds[req.Bank].OnAccess(req.Row, when)
+	return nil
+}
+
+// stats aggregates the served requests and the banks' violations.
+func (c *controller) stats() Stats {
+	st := c.st
 	var sum, sumRead int64
-	var lats []int64
-	for i := range out {
-		r := out[i]
-		st.Requests++
+	lats := make([]int64, len(c.reqs))
+	for i, r := range c.reqs {
 		if r.Write {
 			st.Writes++
 		} else {
@@ -511,56 +641,37 @@ func Run(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options) (S
 			sumRead += r.Latency()
 		}
 		sum += r.Latency()
-		lats = append(lats, r.Latency())
+		lats[i] = r.Latency()
 	}
+	st.Requests = int64(len(c.reqs))
 	if st.Requests > 0 {
 		st.AvgLatency = float64(sum) / float64(st.Requests)
 		st.RowHitRate = float64(st.RowHits) / float64(st.Requests)
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		slices.Sort(lats)
 		st.P95Latency = lats[int(float64(len(lats)-1)*0.95)]
 		st.MaxLatency = lats[len(lats)-1]
 	}
 	if st.Reads > 0 {
 		st.AvgReadLatency = float64(sumRead) / float64(st.Reads)
 	}
-	st.Violations = len(bank.Violations())
-	if fc, ok := sched.(core.FaultCounter); ok {
-		st.FaultsInjected = fc.FaultsInjected()
+	for _, b := range c.banks {
+		st.Violations += len(b.Violations())
 	}
-	if gr, ok := sched.(core.GuardReporter); ok {
-		st.Guard = gr.GuardSnapshot(opts.Duration)
-	}
-	if opts.Scrub != nil {
-		st.Scrub = opts.Scrub.ScrubSnapshot(opts.Duration)
-	}
-	return st, out, nil
+	return st
 }
 
-// staggerFrac mirrors internal/sim's golden-ratio refresh phase spread.
-func staggerFrac(row int) float64 {
-	const phi = 0.6180339887498949
-	f := float64(row) * phi
-	return f - float64(int64(f))
-}
-
-// RequestsFromTrace converts a row-granular trace into controller requests.
-func RequestsFromTrace(recs []trace.Record, tck float64) []Request {
+// RequestsFromTrace converts a row-granular trace into controller requests,
+// interleaving its rows across the banks: global row g maps to bank
+// g%banks, row g/banks.
+func RequestsFromTrace(recs []trace.Record, tck float64, banks int) []Request {
 	out := make([]Request, 0, len(recs))
 	for _, r := range recs {
 		out = append(out, Request{
 			Arrival: int64(r.Time/tck + 0.5),
-			Row:     r.Row,
+			Bank:    r.Row % banks,
+			Row:     r.Row / banks,
 			Write:   r.Op == trace.Write,
 		})
 	}
 	return out
-}
-
-// FprintStats renders a stats block.
-func FprintStats(w io.Writer, st Stats) error {
-	_, err := fmt.Fprintf(w,
-		"scheduler=%s requests=%d rowhit=%.1f%% avg=%.1f cyc p95=%d cyc refreshes=%d busy=%d stalled=%d viol=%d\n",
-		st.Scheduler, st.Requests, 100*st.RowHitRate, st.AvgLatency, st.P95Latency,
-		st.RefreshOps, st.RefreshBusyCycles, st.StalledByRefresh, st.Violations)
-	return err
 }

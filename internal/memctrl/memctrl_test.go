@@ -45,6 +45,11 @@ func (f *fixture) bank(t *testing.T) *dram.Bank {
 	return b
 }
 
+// run1 runs the controller over a single bank.
+func run1(b *dram.Bank, s core.Scheduler, reqs []Request, opts Options) (Stats, []Request, error) {
+	return Run([]*dram.Bank{b}, []core.Scheduler{s}, reqs, opts)
+}
+
 func (f *fixture) sched(t *testing.T, mk func() (core.Scheduler, error)) core.Scheduler {
 	t.Helper()
 	s, err := mk()
@@ -79,7 +84,7 @@ func TestRowHitVsMissLatency(t *testing.T) {
 		{Arrival: 1001, Row: 10}, // hit: CAS only
 		{Arrival: 1002, Row: 11}, // conflict: PRE (after tRAS) + ACT + CAS
 	}
-	_, served, err := Run(f.bank(t), sched, reqs, f.opts)
+	_, served, err := run1(f.bank(t), sched, reqs, f.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +116,12 @@ func TestWritesPayRecovery(t *testing.T) {
 	reqs := []Request{
 		{Arrival: 1000, Row: 10, Write: false},
 	}
-	_, servedR, err := Run(f.bank(t), sched, reqs, f.opts)
+	_, servedR, err := run1(f.bank(t), sched, reqs, f.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs[0].Write = true
-	_, servedW, err := Run(f.bank(t), sched, reqs, f.opts)
+	_, servedW, err := run1(f.bank(t), sched, reqs, f.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +138,7 @@ func TestRefreshBlocksRequests(t *testing.T) {
 	// Find the earliest scheduled refresh across rows.
 	var firstCycle int64 = 1 << 62
 	for r := 0; r < f.profile.Geom.Rows; r++ {
-		c := int64(staggerFrac(r) * sched.Period(r) / f.params.TCK)
+		c := int64(core.StaggerFrac(r) * sched.Period(r) / f.params.TCK)
 		if c > 0 && c < firstCycle {
 			firstCycle = c
 		}
@@ -142,7 +147,7 @@ func TestRefreshBlocksRequests(t *testing.T) {
 		{Arrival: firstCycle, Row: 42},
 		{Arrival: firstCycle + 1, Row: 43},
 	}
-	st, served, err := Run(f.bank(t), sched, reqs, f.opts)
+	st, served, err := run1(f.bank(t), sched, reqs, f.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +180,7 @@ func TestAggregateTraceRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _, err := Run(f.bank(t), sched, RequestsFromTrace(recs, f.params.TCK), f.opts)
+	st, _, err := run1(f.bank(t), sched, RequestsFromTrace(recs, f.params.TCK, 1), f.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +207,10 @@ func TestVRLImprovesLatencyOverRAIDR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := RequestsFromTrace(recs, f.params.TCK)
+	reqs := RequestsFromTrace(recs, f.params.TCK, 1)
 
 	run := func(mk func() (core.Scheduler, error)) Stats {
-		st, _, err := Run(f.bank(t), f.sched(t, mk), reqs, f.opts)
+		st, _, err := run1(f.bank(t), f.sched(t, mk), reqs, f.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,19 +233,23 @@ func TestVRLImprovesLatencyOverRAIDR(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	f := setup(t)
 	sched := f.sched(t, func() (core.Scheduler, error) { return core.NewRAIDR(f.profile, core.Config{Restore: f.rm}) })
-	if _, _, err := Run(f.bank(t), sched, nil, Options{Timing: Timing{}, TCK: 1, Duration: 1}); err == nil {
+	if _, _, err := run1(f.bank(t), sched, nil, Options{Timing: Timing{}, TCK: 1, Duration: 1}); err == nil {
 		t.Fatal("bad timing must be rejected")
 	}
-	if _, _, err := Run(f.bank(t), sched, nil, Options{Timing: DefaultTiming(), TCK: 0, Duration: 1}); err == nil {
+	if _, _, err := run1(f.bank(t), sched, nil, Options{Timing: DefaultTiming(), TCK: 0, Duration: 1}); err == nil {
 		t.Fatal("bad TCK must be rejected")
 	}
 	bad := []Request{{Arrival: 10, Row: 5}, {Arrival: 5, Row: 5}}
-	if _, _, err := Run(f.bank(t), sched, bad, f.opts); err == nil {
+	if _, _, err := run1(f.bank(t), sched, bad, f.opts); err == nil {
 		t.Fatal("out-of-order arrivals must be rejected")
 	}
 	oob := []Request{{Arrival: 10, Row: 1 << 30}}
-	if _, _, err := Run(f.bank(t), sched, oob, f.opts); err == nil {
+	if _, _, err := run1(f.bank(t), sched, oob, f.opts); err == nil {
 		t.Fatal("out-of-range row must be rejected")
+	}
+	early := []Request{{Arrival: -1, Row: 5}}
+	if _, _, err := run1(f.bank(t), sched, early, f.opts); err == nil {
+		t.Fatal("an arrival before cycle 0 must be rejected")
 	}
 }
 
@@ -252,7 +261,7 @@ func TestRequestsBeyondHorizonDropped(t *testing.T) {
 		{Arrival: 100, Row: 1},
 		{Arrival: horizon + 5, Row: 2},
 	}
-	st, served, err := Run(f.bank(t), sched, reqs, f.opts)
+	st, served, err := run1(f.bank(t), sched, reqs, f.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +278,7 @@ func TestStatsAggregation(t *testing.T) {
 		{Arrival: 1001, Row: 1, Write: true},
 		{Arrival: 1002, Row: 1},
 	}
-	st, served, err := Run(f.bank(t), sched, reqs, f.opts)
+	st, served, err := run1(f.bank(t), sched, reqs, f.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +304,7 @@ func TestRequestsFromTrace(t *testing.T) {
 		{Time: 1e-6, Op: trace.Read, Row: 3},
 		{Time: 2e-6, Op: trace.Write, Row: 4},
 	}
-	reqs := RequestsFromTrace(recs, tck)
+	reqs := RequestsFromTrace(recs, tck, 1)
 	if len(reqs) != 2 || reqs[0].Arrival != 1000 || !reqs[1].Write {
 		t.Fatalf("%+v", reqs)
 	}
@@ -311,12 +320,12 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := RequestsFromTrace(recs, f.params.TCK)
+	reqs := RequestsFromTrace(recs, f.params.TCK, 1)
 	run := func() Stats {
 		sched := f.sched(t, func() (core.Scheduler, error) {
 			return core.NewVRLAccess(f.profile, core.Config{Restore: f.rm})
 		})
-		st, _, err := Run(f.bank(t), sched, reqs, f.opts)
+		st, _, err := run1(f.bank(t), sched, reqs, f.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +352,7 @@ func TestElasticRefreshPostponesBehindWork(t *testing.T) {
 		})
 		opts := f.opts
 		opts.ElasticSlack = slack
-		st, _, err := Run(f.bank(t), sched, reqs, opts)
+		st, _, err := run1(f.bank(t), sched, reqs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,12 +385,17 @@ func TestElasticSlackValidation(t *testing.T) {
 	sched := f.sched(t, func() (core.Scheduler, error) { return core.NewRAIDR(f.profile, core.Config{Restore: f.rm}) })
 	bad := f.opts
 	bad.ElasticSlack = 0.9
-	if _, _, err := Run(f.bank(t), sched, nil, bad); err == nil {
+	if _, _, err := run1(f.bank(t), sched, nil, bad); err == nil {
 		t.Fatal("absurd slack must be rejected")
 	}
 	bad.ElasticSlack = -0.1
-	if _, _, err := Run(f.bank(t), sched, nil, bad); err == nil {
+	if _, _, err := run1(f.bank(t), sched, nil, bad); err == nil {
 		t.Fatal("negative slack must be rejected")
+	}
+	bad.ElasticSlack = 0.125
+	bad.Granularity = AllBankRefresh
+	if _, _, err := run1(f.bank(t), sched, nil, bad); err == nil {
+		t.Fatal("elastic all-bank commands must be rejected")
 	}
 }
 
@@ -400,7 +414,7 @@ func TestElasticRefreshSafeUnderLoad(t *testing.T) {
 	}
 	opts := f.opts
 	opts.ElasticSlack = 0.125
-	st, _, err := Run(f.bank(t), sched, RequestsFromTrace(recs, f.params.TCK), opts)
+	st, _, err := run1(f.bank(t), sched, RequestsFromTrace(recs, f.params.TCK, 1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,8 @@ func multiSetup(t *testing.T, mkKind string) ([]*dram.Bank, []core.Scheduler) {
 	return banks, scheds
 }
 
-func multiOpts(g RefreshGranularity) MultiOptions {
-	return MultiOptions{
+func multiOpts(g RefreshGranularity) Options {
+	return Options{
 		Timing:      DefaultTiming(),
 		TCK:         device.Default90nm().TCK,
 		Duration:    0.256,
@@ -46,7 +46,7 @@ func multiOpts(g RefreshGranularity) MultiOptions {
 	}
 }
 
-func benchTraceReqs(t *testing.T) []MultiRequest {
+func benchTraceReqs(t *testing.T) []Request {
 	t.Helper()
 	spec, err := trace.FindBenchmark("streamcluster")
 	if err != nil {
@@ -56,7 +56,7 @@ func benchTraceReqs(t *testing.T) []MultiRequest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return MultiRequestsFromTrace(recs, device.Default90nm().TCK, mbBanks)
+	return RequestsFromTrace(recs, device.Default90nm().TCK, mbBanks)
 }
 
 func TestMultiRequestsFromTrace(t *testing.T) {
@@ -64,7 +64,7 @@ func TestMultiRequestsFromTrace(t *testing.T) {
 		{Time: 1e-6, Op: trace.Read, Row: 7},
 		{Time: 2e-6, Op: trace.Write, Row: 8},
 	}
-	reqs := MultiRequestsFromTrace(recs, 1e-9, 4)
+	reqs := RequestsFromTrace(recs, 1e-9, 4)
 	if reqs[0].Bank != 3 || reqs[0].Row != 1 {
 		t.Fatalf("row 7 should map to bank 3 row 1: %+v", reqs[0])
 	}
@@ -84,27 +84,27 @@ func TestGranularityString(t *testing.T) {
 
 func TestMultiValidation(t *testing.T) {
 	banks, scheds := multiSetup(t, "raidr")
-	if _, _, err := RunMulti(nil, nil, nil, multiOpts(PerBankRefresh)); err == nil {
+	if _, _, err := Run(nil, nil, nil, multiOpts(PerBankRefresh)); err == nil {
 		t.Fatal("empty rank must be rejected")
 	}
-	if _, _, err := RunMulti(banks, scheds[:1], nil, multiOpts(PerBankRefresh)); err == nil {
+	if _, _, err := Run(banks, scheds[:1], nil, multiOpts(PerBankRefresh)); err == nil {
 		t.Fatal("mismatched lengths must be rejected")
 	}
 	bad := multiOpts(PerBankRefresh)
 	bad.TCK = 0
-	if _, _, err := RunMulti(banks, scheds, nil, bad); err == nil {
+	if _, _, err := Run(banks, scheds, nil, bad); err == nil {
 		t.Fatal("zero TCK must be rejected")
 	}
 	weird := multiOpts(RefreshGranularity(9))
-	if _, _, err := RunMulti(banks, scheds, nil, weird); err == nil {
+	if _, _, err := Run(banks, scheds, nil, weird); err == nil {
 		t.Fatal("unknown granularity must be rejected")
 	}
-	oob := []MultiRequest{{Arrival: 5, Bank: 99, Row: 0}}
-	if _, _, err := RunMulti(banks, scheds, oob, multiOpts(PerBankRefresh)); err == nil {
+	oob := []Request{{Arrival: 5, Bank: 99, Row: 0}}
+	if _, _, err := Run(banks, scheds, oob, multiOpts(PerBankRefresh)); err == nil {
 		t.Fatal("bad bank address must be rejected")
 	}
-	ooo := []MultiRequest{{Arrival: 5, Bank: 0, Row: 0}, {Arrival: 4, Bank: 0, Row: 0}}
-	if _, _, err := RunMulti(banks, scheds, ooo, multiOpts(PerBankRefresh)); err == nil {
+	ooo := []Request{{Arrival: 5, Bank: 0, Row: 0}, {Arrival: 4, Bank: 0, Row: 0}}
+	if _, _, err := Run(banks, scheds, ooo, multiOpts(PerBankRefresh)); err == nil {
 		t.Fatal("out-of-order arrivals must be rejected")
 	}
 }
@@ -113,20 +113,20 @@ func TestMultiBankParallelism(t *testing.T) {
 	// Two simultaneous requests to different banks overlap; to the same bank
 	// they serialize.
 	banks, scheds := multiSetup(t, "raidr")
-	parallel := []MultiRequest{
+	parallel := []Request{
 		{Arrival: 1000, Bank: 0, Row: 10},
 		{Arrival: 1000, Bank: 1, Row: 10},
 	}
-	_, servedP, err := RunMulti(banks, scheds, parallel, multiOpts(PerBankRefresh))
+	_, servedP, err := Run(banks, scheds, parallel, multiOpts(PerBankRefresh))
 	if err != nil {
 		t.Fatal(err)
 	}
 	banks2, scheds2 := multiSetup(t, "raidr")
-	serial := []MultiRequest{
+	serial := []Request{
 		{Arrival: 1000, Bank: 0, Row: 10},
 		{Arrival: 1000, Bank: 0, Row: 10},
 	}
-	_, servedS, err := RunMulti(banks2, scheds2, serial, multiOpts(PerBankRefresh))
+	_, servedS, err := Run(banks2, scheds2, serial, multiOpts(PerBankRefresh))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +138,9 @@ func TestMultiBankParallelism(t *testing.T) {
 
 func TestMultiPerBankVsAllBank(t *testing.T) {
 	reqs := benchTraceReqs(t)
-	run := func(g RefreshGranularity) MultiStats {
+	run := func(g RefreshGranularity) Stats {
 		banks, scheds := multiSetup(t, "raidr")
-		st, _, err := RunMulti(banks, scheds, reqs, multiOpts(g))
+		st, _, err := Run(banks, scheds, reqs, multiOpts(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,9 +166,9 @@ func TestMultiPerBankVsAllBank(t *testing.T) {
 
 func TestMultiVRLBeatsRAIDR(t *testing.T) {
 	reqs := benchTraceReqs(t)
-	run := func(kind string) MultiStats {
+	run := func(kind string) Stats {
 		banks, scheds := multiSetup(t, kind)
-		st, _, err := RunMulti(banks, scheds, reqs, multiOpts(PerBankRefresh))
+		st, _, err := Run(banks, scheds, reqs, multiOpts(PerBankRefresh))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,9 +186,9 @@ func TestMultiVRLBeatsRAIDR(t *testing.T) {
 
 func TestMultiDeterminism(t *testing.T) {
 	reqs := benchTraceReqs(t)
-	run := func() MultiStats {
+	run := func() Stats {
 		banks, scheds := multiSetup(t, "vrl")
-		st, _, err := RunMulti(banks, scheds, reqs, multiOpts(AllBankRefresh))
+		st, _, err := Run(banks, scheds, reqs, multiOpts(AllBankRefresh))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,14 +218,15 @@ func TestSALPValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Timing: DefaultTiming(), TCK: device.Default90nm().TCK, Duration: 0.128}
-	if _, _, err := RunSALP(bank, sched, nil, opts, 0); err == nil {
-		t.Fatal("zero subarrays must be rejected")
+	for _, n := range []int{-1, 10000} {
+		opts.Subarrays = n
+		if _, _, err := run1(bank, sched, nil, opts); err == nil {
+			t.Fatalf("subarray count %d must be rejected", n)
+		}
 	}
-	if _, _, err := RunSALP(bank, sched, nil, opts, 10000); err == nil {
-		t.Fatal("absurd subarray count must be rejected")
-	}
+	opts.Subarrays = 4
 	oob := []Request{{Arrival: 5, Row: 1 << 30}}
-	if _, _, err := RunSALP(bank, sched, oob, opts, 4); err == nil {
+	if _, _, err := run1(bank, sched, oob, opts); err == nil {
 		t.Fatal("out-of-range row must be rejected")
 	}
 }
@@ -249,19 +250,19 @@ func TestSALPHidesRefreshFromOtherSubarrays(t *testing.T) {
 		}
 		return s
 	}
-	opts := Options{Timing: DefaultTiming(), TCK: device.Default90nm().TCK, Duration: 0.256}
+	const nSub = 8
+	opts := Options{Timing: DefaultTiming(), TCK: device.Default90nm().TCK, Duration: 0.256, Subarrays: nSub}
 
 	// Find the earliest refresh instant and its row.
 	sched := mkSched()
 	var firstCycle int64 = 1 << 62
 	firstRow := -1
 	for r := 0; r < prof.Geom.Rows; r++ {
-		c := int64(staggerFrac(r) * sched.Period(r) / opts.TCK)
+		c := int64(core.StaggerFrac(r) * sched.Period(r) / opts.TCK)
 		if c > 0 && c < firstCycle {
 			firstCycle, firstRow = c, r
 		}
 	}
-	const nSub = 8
 	rowsPerSub := prof.Geom.Rows / nSub
 	sameSub := (firstRow / rowsPerSub) * rowsPerSub // another row in the refreshed subarray
 	if sameSub == firstRow {
@@ -274,7 +275,7 @@ func TestSALPHidesRefreshFromOtherSubarrays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, served, err := RunSALP(bank, mkSched(), []Request{{Arrival: firstCycle, Row: row}}, opts, nSub)
+		st, served, err := run1(bank, mkSched(), []Request{{Arrival: firstCycle, Row: row}}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +292,8 @@ func TestSALPHidesRefreshFromOtherSubarrays(t *testing.T) {
 }
 
 func TestSALPOneSubarrayMatchesRefreshAccounting(t *testing.T) {
-	// nSub = 1 must account the same refresh traffic as the plain engine.
+	// One subarray must account the same refresh traffic as the default
+	// single row buffer.
 	rm, err := core.PaperRestoreModel(device.Default90nm(), device.PaperBank)
 	if err != nil {
 		t.Fatal(err)
@@ -310,12 +312,14 @@ func TestSALPOneSubarrayMatchesRefreshAccounting(t *testing.T) {
 		return s
 	}
 	bankA, _ := dram.NewBank(prof, retention.ExpDecay{}, retention.PatternAllZeros)
-	salp, _, err := RunSALP(bankA, mk(), nil, opts, 1)
+	opts.Subarrays = 1
+	salp, _, err := run1(bankA, mk(), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bankB, _ := dram.NewBank(prof, retention.ExpDecay{}, retention.PatternAllZeros)
-	plain, _, err := Run(bankB, mk(), nil, opts)
+	opts.Subarrays = 0
+	plain, _, err := run1(bankB, mk(), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,7 +194,7 @@ func runAllBank(banks []*dram.Bank, scheds []core.Scheduler, opts Options) (Stat
 		if p <= 0 {
 			return Stats{}, fmt.Errorf("rank: period for row %d is %g", r, p)
 		}
-		h = append(h, rowEvent{t: stagger(r) * p, row: r})
+		h = append(h, rowEvent{t: core.StaggerFrac(r) * p, row: r})
 	}
 	heap.Init(&h)
 	for h.Len() > 0 {
@@ -232,10 +232,4 @@ func runAllBank(banks []*dram.Bank, scheds []core.Scheduler, opts Options) (Stat
 		st.Violations += len(banks[b].Violations())
 	}
 	return st, nil
-}
-
-func stagger(row int) float64 {
-	const phi = 0.6180339887498949
-	f := float64(row) * phi
-	return f - float64(int64(f))
 }

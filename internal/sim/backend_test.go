@@ -50,7 +50,7 @@ func TestBatchQueueMatchesHeapPopOrder(t *testing.T) {
 				periods[r] = 32e-3 * math.Pow(2, 5*rng.Float64())
 			}
 			minPeriod = math.Min(minPeriod, periods[r])
-			e := event{T: staggerFrac(r) * periods[r], Row: r}
+			e := event{T: core.StaggerFrac(r) * periods[r], Row: r}
 			bq.push(e)
 			heap.push(e)
 		}

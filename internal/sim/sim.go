@@ -505,18 +505,6 @@ func (r *Reusable) RunContext(ctx context.Context, bank *dram.Bank, sched core.S
 	return runContext(ctx, bank, sched, src, opts, &r.scratch)
 }
 
-// staggerFrac spreads row refresh phases deterministically across their
-// periods (real controllers spread refreshes across tREFI slots); the
-// golden-ratio sequence avoids aligning rows that share a period.
-func staggerFrac(row int) float64 {
-	const phi = 0.6180339887498949
-	// x - floor(x) is bit-identical to math.Mod(x, 1) for finite x >= 0
-	// (the subtraction is exact by Sterbenz' lemma) and lets the compiler
-	// use the hardware rounding instruction instead of the fmod kernel.
-	x := float64(row) * phi
-	return x - math.Floor(x)
-}
-
 // Run simulates the bank under the scheduler while replaying the trace
 // source. Trace records and refreshes interleave in time order; accesses
 // notify the scheduler (for VRL-Access) and fully restore the accessed row.
@@ -699,7 +687,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			if p <= 0 {
 				return Stats{}, fmt.Errorf("sim: scheduler period for row %d is %g", r, p)
 			}
-			q.push(event{T: staggerFrac(r) * p, Row: r})
+			q.push(event{T: core.StaggerFrac(r) * p, Row: r})
 		}
 		// Trace look-ahead record. The readers in internal/trace enforce time
 		// ordering themselves, but a custom Source is only trusted as far as
