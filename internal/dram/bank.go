@@ -42,15 +42,12 @@ type Bank struct {
 	Decay   retention.DecayModel
 	Pattern retention.Pattern
 
-	// VRT, when non-nil, modulates per-row retention with the
-	// random-telegraph process of retention.VRT. Static profiles do not see
-	// it - that is the point of the VRT experiments.
-	VRT *retention.VRT
-
-	// mod, when non-nil, takes precedence over VRT: a composed stress
-	// schedule (internal/scenario) that already folds any VRT process into
-	// its segment integration. A bank runs at most one retention view, so
-	// attaching both is refused.
+	// mod, when non-nil, modulates per-row retention over time: either a
+	// random-telegraph process (SetVRT; static profiles do not see it -
+	// that is the point of the VRT experiments) or a composed stress
+	// schedule (SetModulator, internal/scenario) that already folds any VRT
+	// process into its segment integration. A bank runs at most one
+	// retention view, so attaching both is refused.
 	mod Modulator
 
 	// Row state is a structure-of-arrays: the batched kernels in batch.go
@@ -93,7 +90,6 @@ type Bank struct {
 	// expMemoVal[r] the corresponding Exp2. One backing array holds both.
 	expMemoArg []float64
 	expMemoVal []float64
-
 }
 
 // NewBank returns a bank with every row fully charged at t = 0.
@@ -151,30 +147,44 @@ func (b *Bank) effectiveRetention(row int) float64 {
 	return b.Profile.True[row] * retention.PatternFactor(b.Pattern)
 }
 
+// hasVRT reports whether the attached modulator is a SetVRT process.
+func (b *Bank) hasVRT() bool {
+	_, ok := b.mod.(*retention.VRT)
+	return ok
+}
+
 // SetVRT attaches a variable-retention-time process to the bank; pass nil
-// to detach. Returns an error for invalid parameters or if a scenario
-// modulator is already attached (fold the VRT into the scenario instead).
+// to detach it (an attached scenario modulator stays). Returns an error for
+// invalid parameters or if a scenario modulator is already attached (fold
+// the VRT into the scenario instead).
 func (b *Bank) SetVRT(v *retention.VRT) error {
-	if v != nil {
-		if err := v.Validate(); err != nil {
-			return err
+	if v == nil {
+		if b.hasVRT() {
+			b.mod = nil
 		}
-		if b.mod != nil {
-			return fmt.Errorf("dram: bank already carries a scenario modulator; compose the VRT into it")
-		}
+		return nil
 	}
-	b.VRT = v
+	if err := v.Validate(); err != nil {
+		return err
+	}
+	if b.mod != nil && !b.hasVRT() {
+		return fmt.Errorf("dram: bank already carries a scenario modulator; compose the VRT into it")
+	}
+	b.mod = v
 	return nil
 }
 
 // SetModulator attaches a composed retention modulation (a scenario Env) to
-// the bank; pass nil to detach. Mutually exclusive with SetVRT: a stress
-// schedule that wants a telegraph process composes it as one of its own
-// stressors, so the decay integration stays exact across overlapping
-// change-points.
+// the bank; pass nil to detach it (an attached VRT process stays). Mutually
+// exclusive with SetVRT: a stress schedule that wants a telegraph process
+// composes it as one of its own stressors, so the decay integration stays
+// exact across overlapping change-points.
 func (b *Bank) SetModulator(m Modulator) error {
-	if m != nil && b.VRT != nil {
-		return fmt.Errorf("dram: bank already carries a VRT process; compose it into the scenario")
+	if b.hasVRT() {
+		if m != nil {
+			return fmt.Errorf("dram: bank already carries a VRT process; compose it into the scenario")
+		}
+		return nil
 	}
 	b.mod = m
 	return nil
@@ -193,9 +203,6 @@ func (b *Bank) ChargeAt(row int, t float64) (float64, error) {
 	tret := b.effectiveRetention(row)
 	if b.mod != nil {
 		return b.charge[row] * b.mod.DecayFactor(row, tret, b.lastT[row], t, b.Decay), nil
-	}
-	if b.VRT != nil {
-		return b.charge[row] * b.VRT.DecayFactor(row, tret, b.lastT[row], t, b.Decay), nil
 	}
 	return b.charge[row] * b.Decay.Factor(dt, tret), nil
 }
@@ -344,7 +351,7 @@ func (b *Bank) SetState(s State) error {
 // the charge/lastT/tret columns, producing the same violations in the same
 // order as the scalar path.
 func (b *Bank) CheckAll(t float64) (int, error) {
-	if b.mod == nil && b.VRT == nil {
+	if b.mod == nil {
 		switch b.Decay.(type) {
 		case retention.ExpDecay, retention.LinearDecay:
 			return b.checkAllPlain(t)

@@ -224,7 +224,56 @@ func TestBankWithVRT(t *testing.T) {
 	if err := b.SetVRT(&bad); err == nil {
 		t.Fatal("invalid VRT must be rejected")
 	}
-	if err := b.SetVRT(nil); err != nil || b.VRT != nil {
+	if err := b.SetVRT(nil); err != nil || b.ActiveModulator() != nil {
 		t.Fatal("detaching VRT failed")
+	}
+}
+
+// scaleMod is a stand-in scenario modulator: plain decay at a fixed scale.
+type scaleMod struct{}
+
+func (scaleMod) DecayFactor(_ int, tret, t0, t1 float64, base retention.DecayModel) float64 {
+	return base.Factor(t1-t0, tret/2)
+}
+
+// TestModulationSlot pins the single modulation slot's rules: a VRT process
+// and a scenario modulator exclude each other in both orders, detaching one
+// kind never drops the other, and a detached slot is an untyped nil.
+func TestModulationSlot(t *testing.T) {
+	v := retention.DefaultVRT()
+	b := newBank(t)
+	if err := b.SetVRT(&v); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetModulator(scaleMod{}); err == nil {
+		t.Fatal("a scenario modulator must be refused while a VRT process is attached")
+	}
+	if err := b.SetModulator(nil); err != nil || b.ActiveModulator() != Modulator(&v) {
+		t.Fatal("SetModulator(nil) must leave the VRT process attached")
+	}
+	w := retention.DefaultVRT()
+	if err := b.SetVRT(&w); err != nil || b.ActiveModulator() != Modulator(&w) {
+		t.Fatal("a second SetVRT must replace the first process")
+	}
+	if err := b.SetVRT(nil); err != nil {
+		t.Fatal(err)
+	}
+	if m := b.ActiveModulator(); m != nil {
+		t.Fatalf("SetVRT(nil) left %#v in the slot, want untyped nil", m)
+	}
+
+	b = newBank(t)
+	if err := b.SetModulator(scaleMod{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetVRT(&v); err == nil {
+		t.Fatal("a VRT process must be refused while a scenario modulator is attached")
+	}
+	if err := b.SetVRT(nil); err != nil || b.ActiveModulator() != Modulator(scaleMod{}) {
+		t.Fatal("SetVRT(nil) must leave the scenario modulator attached")
+	}
+	want := retention.ExpDecay{}.Factor(0.05, b.effectiveRetention(3)/2)
+	if got, err := b.ChargeAt(3, 0.05); err != nil || got != want {
+		t.Fatalf("ChargeAt under the modulator = %v, %v; want %v", got, err, want)
 	}
 }

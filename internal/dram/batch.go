@@ -114,10 +114,6 @@ func (b *Bank) ChargeAtBatch(rows []int, times, out []float64) error {
 		for i, r := range rows {
 			out[i] = b.charge[r] * b.mod.DecayFactor(r, tret[r], b.lastT[r], times[i], b.Decay)
 		}
-	case b.VRT != nil:
-		for i, r := range rows {
-			out[i] = b.charge[r] * b.VRT.DecayFactor(r, tret[r], b.lastT[r], times[i], b.Decay)
-		}
 	default:
 		switch b.Decay.(type) {
 		case retention.ExpDecay:

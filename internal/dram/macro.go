@@ -46,6 +46,7 @@ import (
 	"math"
 	"sort"
 
+	"vrldram/internal/core"
 	"vrldram/internal/retention"
 )
 
@@ -94,20 +95,20 @@ type macroCursor struct {
 // to processing them one at a time through Bank.Refresh. acc is the
 // caller's ChargeRestored accumulator. On Bailed the lanes and bank are
 // untouched and no event was consumed.
-func (b *Bank) RefreshMacro(sc *StreamScratch, lanes []RefreshLane, horizon float64, cfg *StreamConfig, acc float64) (StreamResult, error) {
+func (b *Bank) RefreshMacro(sc *StreamScratch, lanes []RefreshLane, horizon float64, view *core.StreamView, acc float64) (StreamResult, error) {
 	res := StreamResult{ChargeRestored: acc}
-	if !(cfg.AlphaFull >= 0 && cfg.AlphaFull <= 1) {
-		return res, fmt.Errorf("dram: restore alpha %g outside [0,1]", cfg.AlphaFull)
+	if !(view.Full.Alpha >= 0 && view.Full.Alpha <= 1) {
+		return res, fmt.Errorf("dram: restore alpha %g outside [0,1]", view.Full.Alpha)
 	}
-	if cfg.RCount != nil && !(cfg.AlphaPartial >= 0 && cfg.AlphaPartial <= 1) {
-		return res, fmt.Errorf("dram: restore alpha %g outside [0,1]", cfg.AlphaPartial)
+	if view.RCount != nil && !(view.Partial.Alpha >= 0 && view.Partial.Alpha <= 1) {
+		return res, fmt.Errorf("dram: restore alpha %g outside [0,1]", view.Partial.Alpha)
 	}
 	nRows := b.Geom.Rows
-	if cfg.Periods != nil && len(cfg.Periods) != nRows {
-		return res, fmt.Errorf("dram: stream periods cover %d rows, bank has %d", len(cfg.Periods), nRows)
+	if view.Periods != nil && len(view.Periods) != nRows {
+		return res, fmt.Errorf("dram: stream periods cover %d rows, bank has %d", len(view.Periods), nRows)
 	}
-	if cfg.RCount != nil && (len(cfg.RCount) != nRows || len(cfg.MPRSF) != nRows) {
-		return res, fmt.Errorf("dram: stream counters cover %d/%d rows, bank has %d", len(cfg.RCount), len(cfg.MPRSF), nRows)
+	if view.RCount != nil && (len(view.RCount) != nRows || len(view.MPRSF) != nRows) {
+		return res, fmt.Errorf("dram: stream counters cover %d/%d rows, bank has %d", len(view.RCount), len(view.MPRSF), nRows)
 	}
 	if len(lanes) > macroMaxLanes {
 		res.Bailed = true
@@ -170,11 +171,7 @@ func (b *Bank) RefreshMacro(sc *StreamScratch, lanes []RefreshLane, horizon floa
 				return res, nil
 			}
 			sc.seen[row] = epoch
-			rp := cfg.Period
-			if cfg.Periods != nil {
-				rp = cfg.Periods[row]
-			}
-			if rp != p {
+			if view.PeriodOf(row) != p {
 				res.Bailed = true // period left the lane: cross-lane re-push
 				return res, nil
 			}
@@ -236,9 +233,9 @@ func (b *Bank) RefreshMacro(sc *StreamScratch, lanes []RefreshLane, horizon floa
 	charge, lastT := b.charge, b.lastT
 	tretCol := b.retentions()
 	retired := b.retired
-	rcount, mprsf := cfg.RCount, cfg.MPRSF
+	rcount, mprsf := view.RCount, view.MPRSF
 	hasCnt := rcount != nil
-	alphaF, alphaP := cfg.AlphaFull, cfg.AlphaPartial
+	alphaF, alphaP := view.Full.Alpha, view.Partial.Alpha
 	ext := sc.ext
 	shadow := sc.tret
 	times, deltas, ops := sc.times, sc.deltas, sc.ops
@@ -533,9 +530,9 @@ outer:
 	if events > 0 {
 		res.LastTime = prevT
 		if lastOp == 1 {
-			res.LastCycles = cfg.CyclesFull
+			res.LastCycles = view.Full.Cycles
 		} else {
-			res.LastCycles = cfg.CyclesPartial
+			res.LastCycles = view.Partial.Cycles
 		}
 	}
 	res.ChargeRestored = acc

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"vrldram/internal/core"
 	"vrldram/internal/retention"
 )
 
@@ -116,7 +117,7 @@ func TestMacroSortedReplayMatchesSortAndSum(t *testing.T) {
 type macroFixture struct {
 	bank    *Bank
 	lanes   []RefreshLane
-	cfg     StreamConfig
+	view    core.StreamView
 	horizon float64
 }
 
@@ -129,20 +130,18 @@ func newMacroFixture(t *testing.T) *macroFixture {
 	f := &macroFixture{
 		bank:    b,
 		horizon: 5.5 * macroPeriod,
-		cfg: StreamConfig{
-			Period:        macroPeriod,
-			RCount:        make([]int, rows),
-			MPRSF:         make([]int, rows),
-			AlphaFull:     0.999,
-			AlphaPartial:  0.6,
-			CyclesFull:    40,
-			CyclesPartial: 25,
+		view: core.StreamView{
+			Period:  macroPeriod,
+			RCount:  make([]int, rows),
+			MPRSF:   make([]int, rows),
+			Full:    core.Op{Full: true, Cycles: 40, Alpha: 0.999},
+			Partial: core.Op{Cycles: 25, Alpha: 0.6},
 		},
 	}
 	ev := make([]StreamEvent, rows)
 	for r := range ev {
 		ev[r] = StreamEvent{T: float64(r) * macroPeriod / float64(rows), Row: r}
-		f.cfg.MPRSF[r] = r % 4
+		f.view.MPRSF[r] = r % 4
 	}
 	f.lanes = []RefreshLane{{Delta: macroPeriod, Events: ev}}
 	return f
@@ -173,18 +172,18 @@ func TestRefreshMacroBailsOnIrregularLanes(t *testing.T) {
 			l.Events = append(l.Events[:6], append([]StreamEvent{dup}, l.Events[6:]...)...)
 		}},
 		{"row in two lanes", func(f *macroFixture) {
-			f.cfg.Periods = make([]float64, len(f.cfg.MPRSF))
-			for r := range f.cfg.Periods {
-				f.cfg.Periods[r] = macroPeriod
+			f.view.Periods = make([]float64, len(f.view.MPRSF))
+			for r := range f.view.Periods {
+				f.view.Periods[r] = macroPeriod
 			}
 			f.lanes = append(f.lanes, RefreshLane{Delta: 2 * macroPeriod, Events: []StreamEvent{{T: 0.01, Row: 3}}})
 		}},
 		{"period left its lane", func(f *macroFixture) {
-			f.cfg.Periods = make([]float64, len(f.cfg.MPRSF))
-			for r := range f.cfg.Periods {
-				f.cfg.Periods[r] = macroPeriod
+			f.view.Periods = make([]float64, len(f.view.MPRSF))
+			for r := range f.view.Periods {
+				f.view.Periods[r] = macroPeriod
 			}
-			f.cfg.Periods[7] = 2 * macroPeriod
+			f.view.Periods[7] = 2 * macroPeriod
 		}},
 		{"counts span three values", func(f *macroFixture) {
 			f.lanes[0].Events = []StreamEvent{
@@ -207,9 +206,9 @@ func TestRefreshMacroBailsOnIrregularLanes(t *testing.T) {
 			}
 			c.shape(f)
 			state, lanes := f.bank.State(), cloneLanes(f.lanes)
-			rcount := append([]int(nil), f.cfg.RCount...)
+			rcount := append([]int(nil), f.view.RCount...)
 			var sc StreamScratch
-			res, err := f.bank.RefreshMacro(&sc, f.lanes, f.horizon, &f.cfg, 0.25)
+			res, err := f.bank.RefreshMacro(&sc, f.lanes, f.horizon, &f.view, 0.25)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +221,7 @@ func TestRefreshMacroBailsOnIrregularLanes(t *testing.T) {
 			if !reflect.DeepEqual(f.lanes, lanes) {
 				t.Fatal("bailed window mutated the lanes")
 			}
-			if !reflect.DeepEqual(f.cfg.RCount, rcount) {
+			if !reflect.DeepEqual(f.view.RCount, rcount) {
 				t.Fatal("bailed window mutated the refresh counters")
 			}
 		})
@@ -261,9 +260,9 @@ func TestRefreshMacroMatchesSequentialRefresh(t *testing.T) {
 	var fulls int64
 	lastCycles := 0
 	for _, e := range order {
-		alpha, cyc := f.cfg.AlphaPartial, f.cfg.CyclesPartial
-		if rcount[e.row] == f.cfg.MPRSF[e.row] {
-			alpha, cyc = f.cfg.AlphaFull, f.cfg.CyclesFull
+		alpha, cyc := f.view.Partial.Alpha, f.view.Partial.Cycles
+		if rcount[e.row] == f.view.MPRSF[e.row] {
+			alpha, cyc = f.view.Full.Alpha, f.view.Full.Cycles
 			rcount[e.row] = 0
 			fulls++
 		} else {
@@ -278,7 +277,7 @@ func TestRefreshMacroMatchesSequentialRefresh(t *testing.T) {
 	}
 
 	var sc StreamScratch
-	res, err := f.bank.RefreshMacro(&sc, f.lanes, f.horizon, &f.cfg, 0.25)
+	res, err := f.bank.RefreshMacro(&sc, f.lanes, f.horizon, &f.view, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +291,8 @@ func TestRefreshMacroMatchesSequentialRefresh(t *testing.T) {
 	if !reflect.DeepEqual(f.bank.State(), ref.State()) {
 		t.Fatal("kernel and sequential bank states diverged")
 	}
-	if !reflect.DeepEqual(f.cfg.RCount, rcount) {
-		t.Fatalf("counters %v, want %v", f.cfg.RCount, rcount)
+	if !reflect.DeepEqual(f.view.RCount, rcount) {
+		t.Fatalf("counters %v, want %v", f.view.RCount, rcount)
 	}
 	if got := f.lanes[0].Events[f.lanes[0].Head:]; !reflect.DeepEqual(got, next) {
 		t.Fatalf("re-armed lane %v, want %v", got, next)

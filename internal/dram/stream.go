@@ -5,7 +5,7 @@
 // checkpoint boundary, schedule stable - every refresh event is "sense,
 // restore, re-arm at t+period", and the event queue's period lanes already
 // hold the events in sorted order. The simulator hands those lanes, the
-// scheduler's decision columns (StreamConfig), and a horizon to
+// scheduler's decision columns (core.StreamView), and a horizon to
 // Bank.RefreshMacro, which consumes every event below the horizon in one
 // call and returns the accounting as a StreamResult.
 package dram
@@ -31,20 +31,6 @@ type RefreshLane struct {
 	Delta  float64
 	Events []StreamEvent
 	Head   int
-}
-
-// StreamConfig is the scheduler side of a fast-forward window: the live
-// decision columns (see core.StreamView; the slices alias scheduler state,
-// and the kernel's RCount writes are the scheduler's own counter updates).
-type StreamConfig struct {
-	Period  float64   // shared refresh period when Periods is nil
-	Periods []float64 // per-row refresh periods
-	RCount  []int     // per-row partial-refresh counters; nil = always full
-	MPRSF   []int     // per-row MPRSF (required when RCount is set)
-
-	AlphaFull, AlphaPartial float64
-
-	CyclesFull, CyclesPartial int
 }
 
 // StreamResult reports one RefreshMacro window.
@@ -125,15 +111,16 @@ func (b *Bank) MinLastRestore() float64 {
 	return min
 }
 
-// Streamable reports whether the bank's decay configuration is one the
-// macro kernel reproduces exactly: the plain exponential law with no VRT
-// process. A scenario modulator is handled separately - see SteadyModulator.
+// Streamable reports whether the bank's decay law is one the macro kernel
+// reproduces exactly: the plain exponential law. An attached modulator (a
+// VRT process or a scenario) is handled separately - see SteadyModulator.
 func (b *Bank) Streamable() bool {
 	_, exp := b.Decay.(retention.ExpDecay)
-	return exp && b.VRT == nil
+	return exp
 }
 
-// ActiveModulator returns the attached scenario modulator, if any.
+// ActiveModulator returns the attached modulator (a SetVRT process or a
+// scenario), if any.
 func (b *Bank) ActiveModulator() Modulator { return b.mod }
 
 // SteadyModulator is an optional Modulator capability the fast-forward

@@ -229,14 +229,6 @@ func (g *Guard) MPRSF(row int) int {
 // OnAccess implements core.Scheduler.
 func (g *Guard) OnAccess(row int, now float64) { g.inner.OnAccess(row, now) }
 
-// StablePeriodUntil implements core.SteadyScheduler with the conservative
-// bound: the controller re-evaluates its ladder on every sense (OnSense can
-// demote, escalate, or trip the breaker on the very next event), so a
-// guarded schedule is never stable past now. The fast-forward backend reads
-// this as "do not fast-forward" - exactly right, since skipping senses would
-// skip the controller's inputs.
-func (g *Guard) StablePeriodUntil(_ int, now float64) float64 { return now }
-
 // RefreshOp implements core.Scheduler: full-latency refreshes off-nominal,
 // the wrapped scheduler's operation (including its partial-refresh
 // counters, which only advance at nominal) otherwise.

@@ -130,8 +130,8 @@ type Stats struct {
 	MaxLatency     int64   // cycles
 	AvgReadLatency float64
 
-	// RefreshOps counts refresh commands; an all-bank command counts once.
-	RefreshOps int64
+	// RefreshCommands counts refresh commands; an all-bank command counts once.
+	RefreshCommands int64
 	// RefreshBusyCycles sums the cycles each bank spent refreshing.
 	RefreshBusyCycles  int64
 	RefreshesPostponed int64 // elastic postponement steps taken
@@ -475,7 +475,7 @@ func (c *controller) refresh() error {
 		}
 		period = c.allBankPeriod(ev.row)
 	}
-	c.st.RefreshOps++
+	c.st.RefreshCommands++
 	// Schedule from the ORIGINAL due time so postponement debt does not
 	// accumulate across periods.
 	next := ev.due + int64(period/c.tck)

@@ -161,7 +161,7 @@ func TestRefreshBlocksRequests(t *testing.T) {
 	if served[0].Latency() < coldMiss+int64(f.rm.FullCycles)-1 {
 		t.Fatalf("collided latency %d does not include the refresh window", served[0].Latency())
 	}
-	if st.RefreshOps == 0 || st.RefreshBusyCycles == 0 {
+	if st.RefreshCommands == 0 || st.RefreshBusyCycles == 0 {
 		t.Fatal("refreshes not accounted")
 	}
 	if st.Violations != 0 {
@@ -184,7 +184,7 @@ func TestAggregateTraceRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RefreshOps == 0 || st.RefreshBusyCycles == 0 {
+	if st.RefreshCommands == 0 || st.RefreshBusyCycles == 0 {
 		t.Fatal("refreshes not accounted")
 	}
 	if st.Requests == 0 || st.AvgLatency <= 0 {
@@ -369,8 +369,8 @@ func TestElasticRefreshPostponesBehindWork(t *testing.T) {
 	if on.Violations != 0 {
 		t.Fatalf("elastic postponement violated integrity: %d", on.Violations)
 	}
-	if on.RefreshOps != off.RefreshOps {
-		t.Fatalf("postponement must not change the refresh count: %d vs %d", on.RefreshOps, off.RefreshOps)
+	if on.RefreshCommands != off.RefreshCommands {
+		t.Fatalf("postponement must not change the refresh count: %d vs %d", on.RefreshCommands, off.RefreshCommands)
 	}
 	if on.AvgLatency > off.AvgLatency {
 		t.Fatalf("elastic refresh should not worsen average latency: %.3f vs %.3f", on.AvgLatency, off.AvgLatency)

@@ -323,8 +323,8 @@ func TestSALPOneSubarrayMatchesRefreshAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if salp.RefreshOps != plain.RefreshOps || salp.RefreshBusyCycles != plain.RefreshBusyCycles {
+	if salp.RefreshCommands != plain.RefreshCommands || salp.RefreshBusyCycles != plain.RefreshBusyCycles {
 		t.Fatalf("refresh accounting diverges: %d/%d vs %d/%d",
-			salp.RefreshOps, salp.RefreshBusyCycles, plain.RefreshOps, plain.RefreshBusyCycles)
+			salp.RefreshCommands, salp.RefreshBusyCycles, plain.RefreshCommands, plain.RefreshBusyCycles)
 	}
 }
