@@ -234,10 +234,11 @@ func BenchmarkProfileConstruction(b *testing.B) {
 	}
 }
 
-// BenchmarkBankBatchRefresh measures the raw columnar kernel: one
-// RefreshBatch over every row of the paper bank per iteration, the shape the
-// batched simulator backend drains a batch of events in. The per-op time
-// bumps between iterations keep every batch valid without re-allocating it.
+// BenchmarkBankBatchRefresh measures the raw columnar kernels the batched
+// simulator backend drains a batch of events with: one ChargeAtBatch over
+// every row of the paper bank per iteration, then RestoreSensed per row in
+// batch order. The per-iteration time bump keeps every batch valid without
+// re-allocating its columns.
 func BenchmarkBankBatchRefresh(b *testing.B) {
 	prof, err := retention.NewPaperProfile(retention.DefaultCellDistribution(), 42)
 	if err != nil {
@@ -248,25 +249,31 @@ func BenchmarkBankBatchRefresh(b *testing.B) {
 		b.Fatal(err)
 	}
 	rows := bank.Geom.Rows
-	ops := make([]dram.BatchOp, rows)
-	results := make([]dram.RefreshResult, rows)
+	rowIdx := make([]int, rows)
+	times := make([]float64, rows)
+	charges := make([]float64, rows)
+	for r := range rowIdx {
+		rowIdx[r] = r
+	}
 	const period = 0.064
-	for r := range ops {
-		ops[r] = dram.BatchOp{Row: r, Time: period, Alpha: 1}
+	refresh := func(t float64) {
+		for r := range times {
+			times[r] = t
+		}
+		if err := bank.ChargeAtBatch(rowIdx, times, charges); err != nil {
+			b.Fatal(err)
+		}
+		for r, v := range charges {
+			if _, err := bank.RestoreSensed(r, t, 1, v); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
-	if err := bank.RefreshBatch(ops, results); err != nil { // warm scratch columns
-		b.Fatal(err)
-	}
+	refresh(period) // warm the decay memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := period * float64(i+2)
-		for r := range ops {
-			ops[r].Time = t
-		}
-		if err := bank.RefreshBatch(ops, results); err != nil {
-			b.Fatal(err)
-		}
+		refresh(period * float64(i+2))
 	}
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

@@ -1,12 +1,20 @@
 #!/bin/sh
-# Pre-merge gate: vet, build, race-enabled tests, and short fuzz budgets on
-# the input parsers (trace files, SPICE decks), the checkpoint container
-# decoder, and the scrubber snapshot decoder. Run from the repo root; any
-# failure aborts the merge.
+# Pre-merge gate: vet, gofmt, build, race-enabled tests, and short fuzz
+# budgets on the input parsers (trace files, SPICE decks), the checkpoint
+# container decoder, and the scrubber snapshot decoder. Run from the repo
+# root; any failure aborts the merge.
 set -eu
 
 echo "== go vet =="
 go vet ./...
+
+echo "== gofmt =="
+UNFORMATTED=$(gofmt -l .)
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt would reformat:"
+    echo "$UNFORMATTED"
+    exit 1
+fi
 
 echo "== go build =="
 go build ./...

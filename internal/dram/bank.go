@@ -70,16 +70,11 @@ type Bank struct {
 
 	violations []Violation
 
-	// Batch scratch (pure caches, never part of State): epoch-stamped
-	// duplicate-row detection and gather buffers for the batched kernels.
-	batchSeen   []int32
-	batchEpoch  int32
-	batchF      []float64 // modulator decay factors
-	batchT0     []float64 // gathered last-restore times for BatchModulator
-	batchTret   []float64 // gathered effective retentions for BatchModulator
-	batchRows   []int     // RefreshBatch gather columns
-	batchTimes  []float64
-	batchCharge []float64
+	// Batch scratch (pure caches, never part of State): gather buffers for
+	// ChargeAtBatch's BatchModulator path.
+	batchF    []float64 // modulator decay factors
+	batchT0   []float64 // gathered last-restore times
+	batchTret []float64 // gathered effective retentions
 
 	// Per-row Exp2 memo for the batched exponential-decay kernel. A row
 	// refreshed on a steady period sees the bit-identical -dt/tret argument

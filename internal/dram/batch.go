@@ -1,15 +1,14 @@
 // Columnar batch kernels over the bank's structure-of-arrays row state.
 //
 // The simulator's hot path senses and restores one row per refresh event;
-// these kernels amortize that work across a whole batch of events: the
-// per-op error checks are hoisted into one validation pass, and decay,
-// sensing, and restore then run as tight loops over the charge/lastT/tret
-// columns. The batched arithmetic is expression-for-expression identical to
-// the scalar ChargeAt/Refresh path, so a batched run is bit-identical to a
-// scalar one - the property the internal/sim backend equivalence tests pin
-// down. The only sanctioned divergence is on *error* paths: a batch
-// validates every op before mutating anything, where the sequential loop
-// would have applied the ops preceding the bad one.
+// the batched runner splits that work in two. ChargeAtBatch senses a whole
+// batch of events in one pass - row and time checks up front, then decay as
+// tight loops over the charge/lastT/tret columns - and RestoreSensed then
+// applies each event's restore in (time, row) order. The batched arithmetic
+// is expression-for-expression identical to the scalar ChargeAt/Refresh
+// path, so a batch of distinct rows sensed and restored this way is
+// bit-identical to a sequential Refresh loop - the property the
+// internal/sim backend equivalence tests pin down.
 package dram
 
 import (
@@ -18,14 +17,6 @@ import (
 
 	"vrldram/internal/retention"
 )
-
-// BatchOp is one refresh operation in a batch: sense row at Time, then
-// restore its charge by Alpha (v' = v + (1-v)*Alpha, as in Refresh).
-type BatchOp struct {
-	Row   int
-	Time  float64 // seconds
-	Alpha float64 // restore coefficient in [0,1]
-}
 
 // BatchModulator is a Modulator that can integrate decay for many rows in
 // one call, amortizing change-point partitioning across rows that share a
@@ -60,15 +51,6 @@ func decayPlain(exp bool, dt, tret float64) float64 {
 func growF(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
 		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// growI resizes a scratch int column to n, reusing its backing array.
-func growI(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -173,90 +155,4 @@ func (b *Bank) RestoreSensed(row int, t, alpha, v float64) (RefreshResult, error
 	b.charge[row] = after
 	b.lastT[row] = t
 	return RefreshResult{ChargeBefore: v, ChargeAfter: after, ChargeRestored: after - v}, nil
-}
-
-// stampEpoch returns the epoch-stamped duplicate-detection column, advancing
-// the epoch so a fresh batch needs no O(rows) clear.
-func (b *Bank) stampEpoch() []int32 {
-	if len(b.batchSeen) != b.Geom.Rows {
-		b.batchSeen = make([]int32, b.Geom.Rows)
-		b.batchEpoch = 0
-	}
-	if b.batchEpoch == math.MaxInt32 {
-		for i := range b.batchSeen {
-			b.batchSeen[i] = 0
-		}
-		b.batchEpoch = 0
-	}
-	b.batchEpoch++
-	return b.batchSeen
-}
-
-// RefreshBatch senses and restores a batch of refresh ops, equivalent to
-// calling Refresh(op.Row, op.Time, op.Alpha) for each op in order - bit for
-// bit: the same violations in the same order, the same charge and lastT
-// columns afterwards. results, when non-nil, receives the per-op
-// RefreshResult and must match ops in length.
-//
-// All validation is hoisted ahead of any mutation: rows in range, alphas in
-// [0,1], no duplicate rows, ops in strictly increasing (Time, Row) order,
-// and no op preceding its row's last restore. An invalid batch mutates
-// nothing (the sequential loop would have applied the prefix before the bad
-// op - that error-path difference is the sanctioned divergence).
-func (b *Bank) RefreshBatch(ops []BatchOp, results []RefreshResult) error {
-	n := len(ops)
-	if results != nil && len(results) != n {
-		return fmt.Errorf("dram: batch size mismatch: %d ops, %d results", n, len(results))
-	}
-	nRows := b.Geom.Rows
-	seen := b.stampEpoch()
-	epoch := b.batchEpoch
-	prevT := math.Inf(-1)
-	prevRow := -1
-	for i := range ops {
-		op := &ops[i]
-		if op.Row < 0 || op.Row >= nRows {
-			return fmt.Errorf("dram: batch op %d: row %d out of range [0,%d)", i, op.Row, nRows)
-		}
-		if !(op.Alpha >= 0 && op.Alpha <= 1) { // rejects NaN too
-			return fmt.Errorf("dram: batch op %d: restore alpha %g outside [0,1]", i, op.Alpha)
-		}
-		if seen[op.Row] == epoch {
-			return fmt.Errorf("dram: batch op %d: duplicate row %d", i, op.Row)
-		}
-		seen[op.Row] = epoch
-		if op.Time < prevT || (op.Time == prevT && op.Row <= prevRow) {
-			return fmt.Errorf("dram: batch op %d: out of (time, row) order: (%.6g, %d) after (%.6g, %d)", i, op.Time, op.Row, prevT, prevRow)
-		}
-		prevT, prevRow = op.Time, op.Row
-		if op.Time < b.lastT[op.Row] {
-			return fmt.Errorf("dram: time went backwards for row %d: %.6g < %.6g", op.Row, op.Time, b.lastT[op.Row])
-		}
-	}
-
-	rows := growI(&b.batchRows, n)
-	times := growF(&b.batchTimes, n)
-	for i := range ops {
-		rows[i] = ops[i].Row
-		times[i] = ops[i].Time
-	}
-	charges := growF(&b.batchCharge, n)
-	if err := b.ChargeAtBatch(rows, times, charges); err != nil {
-		return err
-	}
-
-	for i := range ops {
-		op := &ops[i]
-		v := charges[i]
-		if v < retention.SenseLimit && !b.retired[op.Row] {
-			b.violations = append(b.violations, Violation{Row: op.Row, Time: op.Time, Charge: v})
-		}
-		after := v + (1-v)*op.Alpha
-		b.charge[op.Row] = after
-		b.lastT[op.Row] = op.Time
-		if results != nil {
-			results[i] = RefreshResult{ChargeBefore: v, ChargeAfter: after, ChargeRestored: after - v}
-		}
-	}
-	return nil
 }

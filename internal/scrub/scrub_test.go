@@ -52,24 +52,26 @@ type fakeSched struct {
 	demoted, upgraded, promoted []int
 }
 
-func (s *fakeSched) Name() string                     { return "fake" }
-func (s *fakeSched) Period(int) float64               { return 0.064 }
-func (s *fakeSched) RefreshOp(int, float64) core.Op   { return core.Op{Full: true, Cycles: 1, Alpha: 1} }
-func (s *fakeSched) OnAccess(int, float64)            {}
-func (s *fakeSched) MPRSF(int) int                    { return 0 }
-func (s *fakeSched) Demote(row int)                   { s.demoted = append(s.demoted, row) }
-func (s *fakeSched) Upgrade(row int)                  { s.upgraded = append(s.upgraded, row) }
-func (s *fakeSched) Promote(row int)                  { s.promoted = append(s.promoted, row) }
+func (s *fakeSched) Name() string                   { return "fake" }
+func (s *fakeSched) Period(int) float64             { return 0.064 }
+func (s *fakeSched) RefreshOp(int, float64) core.Op { return core.Op{Full: true, Cycles: 1, Alpha: 1} }
+func (s *fakeSched) OnAccess(int, float64)          {}
+func (s *fakeSched) MPRSF(int) int                  { return 0 }
+func (s *fakeSched) Demote(row int)                 { s.demoted = append(s.demoted, row) }
+func (s *fakeSched) Upgrade(row int)                { s.upgraded = append(s.upgraded, row) }
+func (s *fakeSched) Promote(row int)                { s.promoted = append(s.promoted, row) }
 
 // upgradeOnlySched masks off Demote/Promote so the fallback path is used.
 type upgradeOnlySched struct{ inner *fakeSched }
 
-func (s upgradeOnlySched) Name() string                   { return "fake-up" }
-func (s upgradeOnlySched) Period(int) float64             { return 0.064 }
-func (s upgradeOnlySched) RefreshOp(int, float64) core.Op { return core.Op{Full: true, Cycles: 1, Alpha: 1} }
-func (s upgradeOnlySched) OnAccess(int, float64)          {}
-func (s upgradeOnlySched) MPRSF(int) int                  { return 0 }
-func (s upgradeOnlySched) Upgrade(row int)                { s.inner.Upgrade(row) }
+func (s upgradeOnlySched) Name() string       { return "fake-up" }
+func (s upgradeOnlySched) Period(int) float64 { return 0.064 }
+func (s upgradeOnlySched) RefreshOp(int, float64) core.Op {
+	return core.Op{Full: true, Cycles: 1, Alpha: 1}
+}
+func (s upgradeOnlySched) OnAccess(int, float64) {}
+func (s upgradeOnlySched) MPRSF(int) int         { return 0 }
+func (s upgradeOnlySched) Upgrade(row int)       { s.inner.Upgrade(row) }
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{

@@ -15,8 +15,8 @@ type PatrolResult struct {
 
 // RowStore is the storage a Scrubber patrols: something that can be read
 // row by row through a SECDED-classified path and can retire a row whose
-// data has been relocated to a spare. Both the charge-level dram.Bank and
-// the bit-level dram.DataBank satisfy it (via BankStore / DataBankStore).
+// data has been relocated to a spare. BankStore adapts the charge-level
+// dram.Bank to it; tests substitute their own stores.
 type RowStore interface {
 	Rows() int
 	// PatrolRead senses the row at time now through the ECC path and
@@ -28,9 +28,8 @@ type RowStore interface {
 }
 
 // BankStore adapts the charge-level dram.Bank: a patrol read senses the
-// weakest cell, classifies the charge exactly as the SECDED decode of the
-// row's word would resolve (ecc.ChargeClassifier is that mapping), and the
-// activation restores the row.
+// weakest cell, classifies the charge into the outcome a SECDED decode
+// would report (ecc.ChargeClassifier), and the activation restores the row.
 type BankStore struct {
 	bank *dram.Bank
 	cls  ecc.ChargeClassifier
@@ -61,33 +60,3 @@ func (s *BankStore) PatrolRead(row int, now float64) (PatrolResult, error) {
 
 // Retire implements RowStore.
 func (s *BankStore) Retire(row int) error { return s.bank.Retire(row) }
-
-// DataBankStore adapts the bit-level dram.DataBank: patrol reads go through
-// the stored codeword and the real (72,64) decode, so the outcome reflects
-// actual bit flips, not just the charge classification.
-type DataBankStore struct {
-	db *dram.DataBank
-}
-
-// NewDataBankStore wraps the data bank.
-func NewDataBankStore(db *dram.DataBank) (*DataBankStore, error) {
-	if db == nil {
-		return nil, fmt.Errorf("scrub: nil data bank")
-	}
-	return &DataBankStore{db: db}, nil
-}
-
-// Rows implements RowStore.
-func (s *DataBankStore) Rows() int { return s.db.Geom.Rows }
-
-// PatrolRead implements RowStore.
-func (s *DataBankStore) PatrolRead(row int, now float64) (PatrolResult, error) {
-	rr, err := s.db.ReadWord(row, now)
-	if err != nil {
-		return PatrolResult{}, err
-	}
-	return PatrolResult{Outcome: rr.Result, Charge: rr.Charge}, nil
-}
-
-// Retire implements RowStore.
-func (s *DataBankStore) Retire(row int) error { return s.db.Retire(row) }

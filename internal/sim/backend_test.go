@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"vrldram/internal/core"
 	"vrldram/internal/device"
@@ -30,8 +33,8 @@ import (
 // exactly the (time, row) sequence the reference binary heap does, one
 // event at a time. Horizons stay below the earliest possible re-push
 // (tFirst + the minimum period): a re-push landing inside an already
-// extracted batch is legal for the queue but handled by the runner's merge
-// fallback, which the full-run equivalence tests cover.
+// extracted batch is legal for the queue but handled by the runner's
+// in-window merge, which FuzzSimEquivalence's short-bin seeds cover.
 func TestBatchQueueMatchesHeapPopOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -126,6 +129,7 @@ type backendHarness struct {
 	recs    []trace.Record
 	seed    int64
 	opts    Options
+	bins    []float64 // refresh-period bins; nil means the RAIDR default
 }
 
 func newBackendHarness(t *testing.T, seed int64) *backendHarness {
@@ -165,7 +169,7 @@ func newBackendHarness(t *testing.T, seed int64) *backendHarness {
 
 func (h *backendHarness) sched(t *testing.T, name string) core.Scheduler {
 	t.Helper()
-	cfg := core.Config{Restore: h.rm}
+	cfg := core.Config{Restore: h.rm, Bins: h.bins}
 	var (
 		s   core.Scheduler
 		err error
@@ -339,5 +343,47 @@ func TestRunRefusesUnlistedBackends(t *testing.T) {
 	}
 	if _, err := ParseBackend("batch-lut"); err == nil {
 		t.Fatal(`ParseBackend("batch-lut") must fail`)
+	}
+}
+
+// periodTurns wraps a scheduler whose Period answers bad once it has been
+// asked more than after times, so the period goes wrong mid-run.
+type periodTurns struct {
+	core.Scheduler
+	after, calls int
+	bad          float64
+}
+
+func (s *periodTurns) Period(row int) float64 {
+	if s.calls++; s.calls > s.after {
+		return s.bad
+	}
+	return s.Scheduler.Period(row)
+}
+
+// TestRunRefusesStalledPeriod: a period that would re-queue a row at its
+// own refresh time (zero, NaN, or too small to move t) must end the run
+// with an error on every backend instead of spinning in place; the context
+// deadline only bounds the test if a backend does spin.
+func TestRunRefusesStalledPeriod(t *testing.T) {
+	h := newBackendHarness(t, 7)
+	for _, bad := range []float64{0, math.NaN(), 1e-300} {
+		for _, backend := range []Backend{BackendScalar, BackendBatch, BackendAuto} {
+			t.Run(fmt.Sprintf("%g/%s", bad, backend), func(t *testing.T) {
+				bank, err := dram.NewBank(h.profile, retention.ExpDecay{}, retention.PatternAllZeros)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Past the seeds and a few hundred refreshes in.
+				sched := &periodTurns{Scheduler: h.sched(t, "jedec"), after: 3 * h.geom.Rows, bad: bad}
+				opts := Options{Duration: h.opts.Duration, TCK: h.opts.TCK, Backend: backend}
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				defer cancel()
+				_, err = RunContext(ctx, bank, sched, nil, opts)
+				if err == nil || errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "scheduler period") {
+					t.Fatalf("Run = %v, want a scheduler period error", err)
+				}
+			})
+		}
 	}
 }

@@ -38,6 +38,12 @@ type equivOutcome struct {
 
 var equivPolicies = []string{"jedec", "raidr", "vrl", "vrl-access"}
 
+// shortBins are the RAIDR bins with 4 ms, shorter than batchWindow, in
+// place of 64 ms: a row re-pushed on it lands inside the batch still being
+// applied, so the batched runner must merge it in (time, row) order. Every
+// stock period is at least 32 ms, so only this draw reaches that merge.
+var shortBins = []float64{4e-3, 128e-3, 192e-3, 256e-3}
+
 func newEquivCase(t *testing.T, seed int64, rows, policy, nTrace, eccMode, scen, cut uint8) *equivCase {
 	t.Helper()
 	p := device.Default90nm()
@@ -72,6 +78,9 @@ func newEquivCase(t *testing.T, seed int64, rows, policy, nTrace, eccMode, scen,
 		},
 		policy: equivPolicies[int(policy)%len(equivPolicies)],
 		cut:    int(cut) % 8,
+	}
+	if policy/4%2 == 1 {
+		c.bins = shortBins
 	}
 	if eccMode&1 != 0 {
 		cls := ecc.DefaultClassifier()
@@ -160,8 +169,8 @@ func sameOutcome(a, b equivOutcome) error {
 // blobs exactly. With a cut, every backend then resumes from the same
 // checkpoint and must finish with the uninterrupted run's Stats.
 func FuzzSimEquivalence(f *testing.F) {
-	// seed, rows, policy, trace records, ecc bits (1 ECC, 2 upgrade, 4
-	// weak rows), scenario selector, checkpoint cut.
+	// seed, rows, policy (bit 2: shortBins), trace records, ecc bits (1
+	// ECC, 2 upgrade, 4 weak rows), scenario selector, checkpoint cut.
 	f.Add(int64(1), uint8(64), uint8(0), uint8(0), uint8(0), uint8(1), uint8(4))
 	f.Add(int64(2), uint8(100), uint8(1), uint8(5), uint8(4), uint8(1), uint8(3))
 	f.Add(int64(3), uint8(127), uint8(2), uint8(0), uint8(0), uint8(1), uint8(2))
@@ -176,6 +185,9 @@ func FuzzSimEquivalence(f *testing.F) {
 	f.Add(int64(12), uint8(127), uint8(2), uint8(2), uint8(4), uint8(20), uint8(5))
 	f.Add(int64(2), uint8(127), uint8(2), uint8(1), uint8(7), uint8(1), uint8(3))
 	f.Add(int64(5), uint8(127), uint8(2), uint8(4), uint8(0), uint8(1), uint8(3))
+	f.Add(int64(13), uint8(127), uint8(6), uint8(0), uint8(0), uint8(1), uint8(0))
+	f.Add(int64(159), uint8(127), uint8(7), uint8(30), uint8(7), uint8(1), uint8(3))
+	f.Add(int64(1), uint8(127), uint8(5), uint8(5), uint8(0), uint8(4), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, rows, policy, nTrace, eccMode, scen, cut uint8) {
 		c := newEquivCase(t, seed, rows, policy, nTrace, eccMode, scen, cut)
 		ref := c.run(t, BackendScalar, nil)

@@ -126,20 +126,15 @@ type Options struct {
 	// in a row and the scheduler supports core.Upgrader, the row is demoted
 	// to the fastest bin on the spot.
 	UpgradeOnCorrect bool
-	// DemoteOnCorrect generalizes UpgradeOnCorrect: when ECC corrects an
-	// error and the scheduler supports core.Demoter (e.g. a guard.Guard in
-	// the stack), the row steps one rung down the degradation ladder instead
-	// of losing all of its slack at once.
-	DemoteOnCorrect bool
 
 	// Scrub, when set, interleaves an online patrol scrubber with the
 	// refresh stream: patrol reads fire at the scrubber's own cadence
 	// between refresh events (deferring with backoff while a refresh holds
 	// the bank busy), and every ECC-classified sensing event is forwarded to
 	// the scrubber's repair pipeline, which then owns the demote/upgrade
-	// response (Demote/UpgradeOnCorrect are ignored). The scrubber must
-	// cover the same number of rows as the bank, and it is included in
-	// checkpoints, so checkpoint/resume stays bit-identical.
+	// response (UpgradeOnCorrect is ignored). The scrubber must cover the
+	// same number of rows as the bank, and it is included in checkpoints,
+	// so checkpoint/resume stays bit-identical.
 	Scrub *scrub.Scrubber
 
 	// Scenario, when set, is the composed stress schedule the bank decays
@@ -428,8 +423,8 @@ type Scratch struct {
 	queue eventHeap
 	batch batchQueue
 
-	// Batch gather columns: one bucket's worth of (row, time) pairs and
-	// their sensed charges.
+	// Batch gather columns: one batch window's worth of (row, time) pairs
+	// and their sensed charges.
 	bRows   []int
 	bTimes  []float64
 	bCharge []float64
@@ -671,7 +666,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	} else {
 		for r := 0; r < rows; r++ {
 			p := sched.Period(r)
-			if p <= 0 {
+			if !(p > 0) { // rejects NaN too
 				return Stats{}, fmt.Errorf("sim: scheduler period for row %d is %g", r, p)
 			}
 			q.push(event{T: core.StaggerFrac(r) * p, Row: r})
@@ -816,16 +811,10 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				if err := opts.Scrub.OnEccEvent(row, outcome); err != nil {
 					return 0, err
 				}
-			} else if outcome == ecc.Corrected {
-				if opts.DemoteOnCorrect {
-					if dm, ok := sched.(core.Demoter); ok {
-						dm.Demote(row)
-					}
-				} else if opts.UpgradeOnCorrect {
-					if up, ok := sched.(core.Upgrader); ok {
-						up.Upgrade(row)
-						st.RowsUpgraded++
-					}
+			} else if outcome == ecc.Corrected && opts.UpgradeOnCorrect {
+				if up, ok := sched.(core.Upgrader); ok {
+					up.Upgrade(row)
+					st.RowsUpgraded++
 				}
 			}
 		}
@@ -839,14 +828,19 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		busyUntil = t + float64(op.Cycles)*opts.TCK
 		p := sched.Period(row)
 		next := t + p
+		if !(next > t) {
+			// A period that is zero, negative, NaN or below t's resolution
+			// would re-queue the row at t itself, forever.
+			return 0, fmt.Errorf("sim: scheduler period for row %d is %g", row, p)
+		}
 		q.pushNext(event{T: next, Row: row}, p)
 		return next, nil
 	}
 
 	// processEvent runs one full scalar refresh: sense+restore through the
 	// scalar bank path, then the shared tail. The scalar backend runs on it
-	// exclusively; the batched backend uses it for events a sub-bucket
-	// period pushes back into the open batch window.
+	// exclusively; the batched backend uses it for events a period shorter
+	// than the batch window pushes back into the open batch.
 	processEvent := func(ev event) error {
 		op := sched.RefreshOp(ev.Row, ev.T)
 		res, err := bank.Refresh(ev.Row, ev.T, op.Alpha)
@@ -930,7 +924,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			continue
 		}
 
-		// Batched: drain every event in the cursor bucket up to the nearest
+		// Batched: drain every event in the batch window up to the nearest
 		// non-refresh boundary, sense the whole batch through the columnar
 		// kernel, then apply the ops in (time, row) order. The horizon h is
 		// capped below every boundary where non-refresh activity (a
@@ -1033,17 +1027,10 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		bRows, bTimes := scratch.bRows, scratch.bTimes
 		n := len(bRows)
 		if n == 0 {
-			// Every cap on h sits strictly above tFirst, so an empty batch
-			// can only mean a floating-point boundary edge (an event hashed
-			// into a bucket whose end precedes it). Process one event
-			// scalar-style to guarantee progress.
-			ev := q.pop()
-			now = ev.T
-			if err := processEvent(ev); err != nil {
-				finalize(ev.T)
-				return st, err
-			}
-			continue
+			// The drains above leave every cap on h strictly above tFirst,
+			// the queue minimum, so the batch holds at least that event.
+			finalize(tFirst)
+			return st, fmt.Errorf("sim: empty batch: horizon %.17g does not exceed the earliest queued event %.17g", h, tFirst)
 		}
 		if cap(scratch.bCharge) < n {
 			scratch.bCharge = make([]float64, n)
@@ -1061,7 +1048,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		qNext := bq.peekTime()
 		for i := 0; i < n; i++ {
 			evT, evRow := bTimes[i], bRows[i]
-			// A row whose period is shorter than the bucket width can push
+			// A row whose period is shorter than the batch window can push
 			// its next refresh back inside the open batch window; process
 			// those scalar-style so the total (time, row) order - and with
 			// it every scheduler and accounting interaction - is preserved.

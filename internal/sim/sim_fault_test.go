@@ -223,39 +223,3 @@ func TestCatastrophicFaultTripsBreaker(t *testing.T) {
 		t.Fatal("physically unsavable rows still reported zero violations; the fault model is broken")
 	}
 }
-
-// TestDemoteOnCorrect: an ECC-corrected error steps the row one rung down
-// the guard's ladder instead of invoking the one-shot AVATAR upgrade.
-func TestDemoteOnCorrect(t *testing.T) {
-	f := setup(t)
-	vrl, err := core.NewVRL(f.profile, core.Config{Restore: f.rm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := guard.New(vrl, f.profile.Geom.Rows, guard.Config{Restore: f.rm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vrt, err := fault.TransientWeakCells(0.3, 0.25, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := f.bank(t, retention.PatternAllZeros)
-	if err := b.SetVRT(vrt); err != nil {
-		t.Fatal(err)
-	}
-	cls := ecc.DefaultClassifier()
-	opts := f.opts
-	opts.ECC = &cls
-	opts.DemoteOnCorrect = true
-	st, err := Run(b, g, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CorrectedErrors == 0 {
-		t.Fatal("campaign produced no correctable errors; nothing was demoted")
-	}
-	if st.RowsUpgraded != 0 {
-		t.Fatal("DemoteOnCorrect must not take the AVATAR upgrade path")
-	}
-}
